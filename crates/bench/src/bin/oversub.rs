@@ -104,7 +104,7 @@ fn main() -> ExitCode {
         .min(8);
     let rounds = if short { 40 } else { 200 };
     let tpb = 16;
-    let policy = SyncPolicy::default().with_spin(SpinStrategy::park());
+    let policy = SyncPolicy::default().with_spin(SpinStrategy::Park);
     println!(
         "\nHost runtime, parked lock-free barrier, {cores} cores ({} mode):\n",
         if short { "short" } else { "full" }

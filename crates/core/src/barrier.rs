@@ -31,11 +31,16 @@
 //!   exceeds the deadline poisons the barrier and returns
 //!   [`SyncFault::TimedOut`] carrying a [`StuckDiagnostic`]: which block
 //!   was stuck, at which round, on which flag, and which peers never
-//!   arrived.
+//!   arrived. The deadline is checked on every poll past the 64-poll spin
+//!   burst, so it fires on time even when each yield costs a scheduler
+//!   slice.
 //!
-//! The default policy (no timeout, [`SpinStrategy::Yield`]) reproduces the
+//! [`BarrierControl::wait_until`] is the one wait loop: every barrier and
+//! the launch gates of [`crate::launch`] poll through it. The default
+//! policy (no timeout, [`SpinStrategy::Yield`]) reproduces the
 //! pre-fault-tolerance spin behaviour exactly — 64 busy polls, then yield —
-//! and adds only the single plain poison load per poll to the hot path.
+//! and adds only the single plain poison load per poll to the hot path;
+//! [`SpinStrategy::Park`] adds bounded parks once a wait drags on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -48,55 +53,40 @@ use crate::error::{StuckDiagnostic, StuckPhase};
 use crate::trace::{EventRecorder, TraceEventKind};
 
 /// How a waiting block burns time between polls of its barrier flag.
+///
+/// Both strategies share one poll→spin→yield discipline in
+/// [`BarrierControl::wait_until`]: 64 busy polls, then `yield_now`. They
+/// differ only in what happens once a wait drags on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SpinStrategy {
-    /// Pure busy-wait (`spin_loop` hint only). Matches the paper's GPU
-    /// discipline, where a spinning block owns its SM outright; on a host
-    /// with fewer cores than blocks it steals cycles from the blocks it is
-    /// waiting for.
-    Spin,
-    /// Busy-poll for a short burst (64 polls), then yield the timeslice to
-    /// the OS scheduler. The default, and the pre-existing behaviour of
-    /// this runtime.
+    /// Spin, then yield the timeslice for as long as the wait lasts. The
+    /// default and the paper's discipline: a waiting block keeps its core,
+    /// so launches are limited to one block per core.
     #[default]
     Yield,
-    /// Like `Yield`, but escalate to short sleeps when a wait drags on.
-    /// Lowest CPU burn while stuck; highest single-poll latency.
-    Backoff,
-    /// Spin/yield for `spin_budget` polls, then **park** on an OS condvar
-    /// (parking-lot style) until a peer's arrival, departure, or poison
-    /// wakes the lot. Parks are time-bounded ([`BarrierControl::MAX_PARK`]),
-    /// so a missed wakeup costs bounded latency, never liveness: every
-    /// waiter re-polls its flag infinitely often. Because a parked waiter
-    /// releases its core to the OS scheduler, this is the only strategy
-    /// that stays **deadlock-free when blocks outnumber cores** — the
-    /// not-yet-scheduled blocks get the freed cores, arrive, and wake the
-    /// parked lot (Stuart & Owens' spin/yield/sleep hybrid discipline).
-    Park {
-        /// Polls to burn spinning/yielding before the first park. Low
-        /// budgets park promptly (best under heavy oversubscription); high
-        /// budgets preserve spin-grade latency when cores are plentiful.
-        spin_budget: u32,
-    },
+    /// Spin/yield for [`SpinStrategy::DEFAULT_PARK_SPIN_BUDGET`] polls,
+    /// then **park** on an OS condvar (parking-lot style) until a peer's
+    /// arrival, departure, or poison wakes the lot. Parks are time-bounded
+    /// ([`BarrierControl::MAX_PARK`]), so a missed wakeup costs bounded
+    /// latency, never liveness: every waiter re-polls its flag infinitely
+    /// often. Because a parked waiter releases its core to the OS
+    /// scheduler, this is the only strategy that stays **deadlock-free
+    /// when blocks outnumber cores** — the not-yet-scheduled blocks get the
+    /// freed cores, arrive, and wake the parked lot (Stuart & Owens'
+    /// spin/yield/sleep hybrid discipline).
+    Park,
 }
 
 impl SpinStrategy {
-    /// Polls a [`SpinStrategy::park`] waiter burns before its first park:
+    /// Polls a [`SpinStrategy::Park`] waiter burns before its first park:
     /// one yield phase, enough for every same-core peer to run in between.
     pub const DEFAULT_PARK_SPIN_BUDGET: u32 = 4096;
-
-    /// The parking strategy with the default spin budget.
-    pub fn park() -> Self {
-        SpinStrategy::Park {
-            spin_budget: Self::DEFAULT_PARK_SPIN_BUDGET,
-        }
-    }
 
     /// Whether this strategy parks waiters on an OS primitive instead of
     /// occupying a core — the capability that lifts the one-block-per-core
     /// launch validation for GPU-side barriers.
     pub fn parks(self) -> bool {
-        matches!(self, SpinStrategy::Park { .. })
+        self == SpinStrategy::Park
     }
 }
 
@@ -143,10 +133,10 @@ impl SyncPolicy {
         self
     }
 
-    /// Switch to the parking strategy ([`SpinStrategy::park`]) with the
-    /// default spin budget — the policy that survives blocks > cores.
+    /// Switch to [`SpinStrategy::Park`] — the policy that survives
+    /// blocks > cores.
     pub fn with_park(self) -> Self {
-        self.with_spin(SpinStrategy::park())
+        self.with_spin(SpinStrategy::Park)
     }
 
     /// Whether waits under this policy park instead of occupying a core
@@ -261,8 +251,7 @@ pub trait WaitFaultHook: Send + Sync + 'static {
 /// Designed to stay off the barrier hot path: the poison check is one plain
 /// load per poll, the progress table is written with single-writer plain
 /// stores once per `wait()` call (never inside a spin loop), and the
-/// deadline is consulted only every [`BarrierControl::DEADLINE_STRIDE`]
-/// polls.
+/// deadline is never consulted during the 64-poll spin burst.
 pub struct BarrierControl {
     policy: SyncPolicy,
     poison: AtomicU64,
@@ -309,9 +298,6 @@ impl ParkLot {
 }
 
 impl BarrierControl {
-    /// Polls between deadline (`Instant::now`) checks.
-    pub const DEADLINE_STRIDE: u32 = 1024;
-
     /// Longest single park. The deadlock-freedom argument for
     /// [`SpinStrategy::Park`] rests on this bound, not on wakeups: even if
     /// every notify were lost, each parked waiter re-polls at least this
@@ -415,7 +401,8 @@ impl BarrierControl {
     /// Poison the barrier: every current and future wait returns
     /// [`SyncFault::Poisoned`] naming `block`/`round`/`cause`. First caller
     /// wins; later poisonings are ignored so the diagnostic stays stable.
-    pub fn poison(&self, block: usize, round: usize, cause: PoisonCause) {
+    /// Returns whether this call won.
+    pub fn poison(&self, block: usize, round: usize, cause: PoisonCause) -> bool {
         let won = self
             .poison
             .compare_exchange(
@@ -436,6 +423,7 @@ impl BarrierControl {
         // Win or lose, wake the lot: parked waiters must observe the poison
         // word now, not at their next timed-park expiry.
         self.wake_parked();
+        won
     }
 
     /// Whether the barrier is poisoned, and by whom.
@@ -458,9 +446,12 @@ impl BarrierControl {
         )
     }
 
-    /// Spin until `cond()` holds, subject to the policy: checks the poison
-    /// word each poll (plain load) and the deadline every
-    /// [`Self::DEADLINE_STRIDE`] polls.
+    /// Poll until `cond()` holds, subject to the policy: 64 busy polls,
+    /// then `yield_now`, then — under [`SpinStrategy::Park`], once
+    /// [`SpinStrategy::DEFAULT_PARK_SPIN_BUDGET`] polls are spent — bounded
+    /// parks. Every poll checks the poison word (plain load); every poll
+    /// past the spin burst checks the deadline, because under load a single
+    /// yield can cost a whole scheduler slice.
     ///
     /// On timeout the barrier is poisoned (cause `Timeout`) so peers unwind
     /// too, and the returned [`StuckDiagnostic`] names `block`, `round`,
@@ -478,50 +469,63 @@ impl BarrierControl {
         round: u64,
         barrier: &str,
         flag: impl Fn() -> String,
+        cond: impl FnMut() -> bool,
+    ) -> Result<(), SyncFault> {
+        self.wait_within(self.policy.timeout, block, round, barrier, flag, cond)
+    }
+
+    /// [`BarrierControl::wait_until`] under an explicit `timeout` instead
+    /// of the policy's (the launch gate waits in an unbounded and a
+    /// bounded stage on one control).
+    #[inline]
+    pub(crate) fn wait_within(
+        &self,
+        timeout: Option<Duration>,
+        block: usize,
+        round: u64,
+        barrier: &str,
+        flag: impl Fn() -> String,
         mut cond: impl FnMut() -> bool,
     ) -> Result<(), SyncFault> {
         const SPIN_BURST: u32 = 64;
-        const YIELD_PHASE: u32 = 4096;
 
-        let deadline = self.policy.timeout.map(|t| (Instant::now() + t, t));
-        // Once a Park waiter exceeds its spin budget, every loop iteration
-        // is an up-to-MAX_PARK sleep; the poll-count deadline stride would
-        // then check the clock ~once a second. Check it on every wake
-        // instead.
-        let parking = match self.policy.spin {
-            SpinStrategy::Park { spin_budget } => Some(spin_budget),
-            _ => None,
-        };
+        let deadline = timeout.map(|t| (Instant::now() + t, t));
+        let park_after = self
+            .policy
+            .spin
+            .parks()
+            .then_some(SpinStrategy::DEFAULT_PARK_SPIN_BUDGET);
         let mut polls = 0u32;
         loop {
             if cond() {
                 self.note_spin(block, polls);
                 return Ok(());
             }
-            let word = self.poison.load(Ordering::Relaxed);
-            if word != 0 {
-                // Re-load with Acquire so the poisoner's writes are visible.
-                let (pb, pr, cause) = unpack_poison(self.poison.load(Ordering::Acquire));
-                self.note_spin(block, polls);
-                return Err(SyncFault::Poisoned {
-                    block: pb,
-                    round: pr,
-                    cause,
-                });
+            if self.poison.load(Ordering::Relaxed) != 0 {
+                return Err(self.unwind(block, polls));
             }
-            let parked_phase = parking.is_some_and(|budget| polls >= budget);
             if let Some((when, timeout)) = deadline {
-                if (parked_phase || polls % Self::DEADLINE_STRIDE == Self::DEADLINE_STRIDE - 1)
-                    && Instant::now() >= when
-                {
+                if polls >= SPIN_BURST && Instant::now() >= when {
                     // Snapshot progress *before* publishing the poison:
                     // a cooperative straggler (e.g. an injected wait-phase
                     // fault) is released by the poison itself and would
                     // record its arrival before the snapshot, erasing the
                     // very evidence — stragglers() — this diagnostic
-                    // exists to report.
+                    // exists to report. A release that landed between the
+                    // last poll and the snapshot still counts: failing a
+                    // completed wait would report peers that had already
+                    // moved on.
                     let (arrivals, departures) = self.progress();
-                    self.poison(block, round as usize, PoisonCause::Timeout);
+                    if cond() {
+                        self.note_spin(block, polls);
+                        return Ok(());
+                    }
+                    if !self.poison(block, round as usize, PoisonCause::Timeout) {
+                        // A peer poisoned first (its own timeout, or a
+                        // panic): unwind as its victim, so exactly one
+                        // waiter reports the origin timeout.
+                        return Err(self.unwind(block, polls));
+                    }
                     self.note_spin(block, polls);
                     let diagnostic = StuckDiagnostic {
                         barrier: barrier.to_string(),
@@ -539,42 +543,28 @@ impl BarrierControl {
                     });
                 }
             }
-            match self.policy.spin {
-                SpinStrategy::Spin => std::hint::spin_loop(),
-                SpinStrategy::Yield => {
-                    if polls < SPIN_BURST {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                SpinStrategy::Backoff => {
-                    if polls < SPIN_BURST {
-                        std::hint::spin_loop();
-                    } else if polls < YIELD_PHASE {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
-                }
-                SpinStrategy::Park { spin_budget } => {
-                    if polls < SPIN_BURST.min(spin_budget) {
-                        std::hint::spin_loop();
-                    } else if polls < spin_budget {
-                        std::thread::yield_now();
-                    } else {
-                        self.park(&mut cond, deadline.map(|(when, _)| when));
-                    }
-                }
-            }
-            // Saturate rather than wrap once parked: wrapping would bounce
-            // the waiter back into the spin/yield phase (and off the
-            // every-wake deadline check) after 2^32 polls.
-            polls = if parking.is_some() {
-                polls.saturating_add(1)
+            if polls < SPIN_BURST {
+                std::hint::spin_loop();
+            } else if park_after.is_none_or(|budget| polls < budget) {
+                std::thread::yield_now();
             } else {
-                polls.wrapping_add(1)
-            };
+                self.park(&mut cond, deadline.map(|(when, _)| when));
+            }
+            // Saturate rather than wrap: wrapping would bounce a long wait
+            // back into the spin burst and off the per-poll deadline check.
+            polls = polls.saturating_add(1);
+        }
+    }
+
+    /// The fault a waiter unwinds with once the barrier is poisoned.
+    fn unwind(&self, block: usize, polls: u32) -> SyncFault {
+        // Acquire so the poisoner's writes are visible.
+        let (pb, pr, cause) = unpack_poison(self.poison.load(Ordering::Acquire));
+        self.note_spin(block, polls);
+        SyncFault::Poisoned {
+            block: pb,
+            round: pr,
+            cause,
         }
     }
 
@@ -737,10 +727,28 @@ pub(crate) mod harness {
             assert_eq!(c.load(Ordering::Relaxed) as usize, rounds);
         }
     }
+
+    /// Poll until a `Park` waiter on `ctl` has spent its spin budget and
+    /// parked; returns the parked count first seen, or 0 if none parked
+    /// within 30 s. On a loaded host every yield of the spin budget can
+    /// cost a scheduler slice, hence the generous bound; callers release
+    /// their waiter before asserting on the result, so a failure cannot
+    /// leave it parked forever.
+    pub fn parked_count(ctl: &BarrierControl) -> u64 {
+        let t0 = std::time::Instant::now();
+        loop {
+            let parked = ctl.parked_waiters();
+            if parked != 0 || t0.elapsed() > std::time::Duration::from_secs(30) {
+                return parked;
+            }
+            std::thread::yield_now();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::harness::parked_count;
     use super::*;
 
     #[test]
@@ -811,13 +819,7 @@ mod tests {
 
     #[test]
     fn timeout_respected_under_each_spin_strategy() {
-        for spin in [
-            SpinStrategy::Spin,
-            SpinStrategy::Yield,
-            SpinStrategy::Backoff,
-            SpinStrategy::park(),
-            SpinStrategy::Park { spin_budget: 0 },
-        ] {
+        for spin in [SpinStrategy::Yield, SpinStrategy::Park] {
             let policy = SyncPolicy::with_timeout(Duration::from_millis(10)).with_spin(spin);
             let ctl = BarrierControl::new(1, policy);
             let t0 = Instant::now();
@@ -833,34 +835,110 @@ mod tests {
     }
 
     #[test]
-    fn park_strategy_helpers() {
-        assert!(SpinStrategy::park().parks());
-        assert!(!SpinStrategy::Yield.parks());
-        assert!(SyncPolicy::default().with_park().parks());
-        assert!(!SyncPolicy::default().parks());
+    fn deadline_fires_on_time_when_polls_are_slow() {
+        // Under CPU contention every yield can cost a scheduler slice. A
+        // condition that takes ~1 ms per poll stands in for that: the
+        // deadline must still fire within a few polls past the spin burst,
+        // not after a 1024-poll stride (or a 4096-poll park budget).
+        for spin in [SpinStrategy::Yield, SpinStrategy::Park] {
+            let policy = SyncPolicy::with_timeout(Duration::from_millis(20)).with_spin(spin);
+            let ctl = BarrierControl::new(1, policy);
+            let t0 = Instant::now();
+            let err = ctl
+                .wait_until(
+                    0,
+                    0,
+                    "test",
+                    || "flag".into(),
+                    || {
+                        std::thread::sleep(Duration::from_millis(1));
+                        false
+                    },
+                )
+                .unwrap_err();
+            let elapsed = t0.elapsed();
+            assert!(matches!(err, SyncFault::TimedOut { .. }), "{spin:?}");
+            assert!(
+                elapsed < Duration::from_millis(250),
+                "{spin:?}: a 20 ms timeout fired after {elapsed:?}"
+            );
+        }
+    }
+
+    /// With a zero timeout the deadline is first checked on poll 64 (the
+    /// 65th `cond` call); the 66th call is the post-deadline re-check.
+    const FIRST_RECHECK: u32 = 66;
+
+    #[test]
+    fn release_at_the_deadline_completes_the_wait() {
+        let ctl = BarrierControl::new(2, SyncPolicy::with_timeout(Duration::ZERO));
+        let mut calls = 0;
+        let res = ctl.wait_until(
+            0,
+            0,
+            "test",
+            || "flag".into(),
+            || {
+                calls += 1;
+                calls >= FIRST_RECHECK
+            },
+        );
+        assert_eq!(res, Ok(()));
+        assert_eq!(ctl.poisoned(), None);
+    }
+
+    #[test]
+    fn timed_out_waiter_that_loses_the_poison_race_unwinds() {
+        // A peer poisons between this waiter's deadline check and its own
+        // poison attempt: only the winner reports the origin timeout.
+        let ctl = BarrierControl::new(2, SyncPolicy::with_timeout(Duration::ZERO));
+        let mut calls = 0;
+        let err = ctl
+            .wait_until(
+                0,
+                0,
+                "test",
+                || "flag".into(),
+                || {
+                    calls += 1;
+                    if calls == FIRST_RECHECK {
+                        ctl.poison(1, 0, PoisonCause::Timeout);
+                    }
+                    false
+                },
+            )
+            .unwrap_err();
         assert_eq!(
-            SpinStrategy::park(),
-            SpinStrategy::Park {
-                spin_budget: SpinStrategy::DEFAULT_PARK_SPIN_BUDGET
+            err,
+            SyncFault::Poisoned {
+                block: 1,
+                round: 0,
+                cause: PoisonCause::Timeout
             }
         );
     }
 
     #[test]
+    fn park_strategy_helpers() {
+        assert!(SpinStrategy::Park.parks());
+        assert!(!SpinStrategy::Yield.parks());
+        assert!(SyncPolicy::default().with_park().parks());
+        assert!(!SyncPolicy::default().parks());
+        assert_eq!(SpinStrategy::default(), SpinStrategy::Yield);
+    }
+
+    #[test]
     fn parked_waiter_is_woken_by_arrival() {
-        // A waiter with a zero spin budget parks immediately; a peer's
-        // record_arrival must wake it well before the 5 s timeout (a lost
-        // wakeup would still pass via MAX_PARK, but slowly — assert the
-        // fast path by bounding total wall time).
-        let policy = SyncPolicy::with_timeout(Duration::from_secs(5))
-            .with_spin(SpinStrategy::Park { spin_budget: 0 });
+        // Once the waiter has parked, a peer's record_arrival must wake it
+        // promptly (a lost wakeup would still pass via MAX_PARK, but
+        // slowly — assert the fast path by bounding the release latency).
+        let policy = SyncPolicy::with_timeout(Duration::from_secs(60)).with_park();
         let ctl = Arc::new(BarrierControl::new(2, policy));
         let flag = Arc::new(AtomicU64::new(0));
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
+        let (parked, arrived, released) = std::thread::scope(|s| {
             let c = Arc::clone(&ctl);
             let f = Arc::clone(&flag);
-            s.spawn(move || {
+            let waiter = s.spawn(move || {
                 c.wait_until(
                     0,
                     0,
@@ -869,32 +947,29 @@ mod tests {
                     || f.load(Ordering::Acquire) != 0,
                 )
                 .unwrap();
+                Instant::now()
             });
-            // Give the waiter time to reach the parked phase.
-            while ctl.parked_waiters() == 0 && t0.elapsed() < Duration::from_secs(2) {
-                std::thread::yield_now();
-            }
-            assert_eq!(ctl.parked_waiters(), 1, "waiter never parked");
+            let parked = parked_count(&ctl);
+            let arrived = Instant::now();
             flag.store(1, Ordering::Release);
             ctl.record_arrival(1, 0);
+            (parked, arrived, waiter.join().unwrap())
         });
-        assert!(t0.elapsed() < Duration::from_secs(2));
+        assert_eq!(parked, 1, "waiter never parked");
+        assert!(released.saturating_duration_since(arrived) < Duration::from_secs(2));
     }
 
     #[test]
     #[cfg(feature = "trace")]
     fn parked_wait_polls_stay_bounded() {
         // The busy-wait assertion for the parking discipline, via the obs
-        // plane's spin counters: a 40 ms wait under Park must record a
-        // poll count near the spin budget (budget + one poll per ~1 ms
-        // park wake), not the hundreds of thousands of polls a yield loop
-        // burns over the same span.
+        // plane's spin counters: a 40 ms parked wait must record a poll
+        // count near the spin budget (budget + one poll per ~1 ms park
+        // wake), not the tens of thousands of polls a yield loop burns
+        // over the same span.
         use crate::trace::{EventRecorder, TraceConfig};
-        let budget = 64u32;
-        let policy =
-            SyncPolicy::with_timeout(Duration::from_secs(5)).with_spin(SpinStrategy::Park {
-                spin_budget: budget,
-            });
+        let budget = u64::from(SpinStrategy::DEFAULT_PARK_SPIN_BUDGET);
+        let policy = SyncPolicy::with_timeout(Duration::from_secs(60)).with_park();
         let ctl = Arc::new(BarrierControl::new(2, policy));
         let rec = Arc::new(EventRecorder::new(2, 1, &TraceConfig::default()));
         ctl.attach_recorder(Arc::clone(&rec));
@@ -912,31 +987,30 @@ mod tests {
                 )
                 .unwrap();
             });
+            parked_count(&ctl);
             std::thread::sleep(Duration::from_millis(40));
             flag.store(1, Ordering::Release);
             ctl.record_arrival(1, 0);
         });
         let polls = rec.spin_histogram().max();
-        assert!(polls >= u64::from(budget), "wait finished before parking");
+        assert!(polls >= budget, "wait finished before parking");
         assert!(
-            polls < u64::from(budget) + 2_000,
+            polls < budget + 2_000,
             "parked wait busy-polled: {polls} polls for a 40 ms wait"
         );
     }
 
     #[test]
     fn parked_waiter_unwinds_on_poison() {
-        let policy = SyncPolicy::default().with_spin(SpinStrategy::Park { spin_budget: 0 });
-        let ctl = Arc::new(BarrierControl::new(2, policy));
-        let res = std::thread::scope(|s| {
+        let ctl = Arc::new(BarrierControl::new(2, SyncPolicy::default().with_park()));
+        let (parked, res) = std::thread::scope(|s| {
             let c = Arc::clone(&ctl);
             let h = s.spawn(move || c.wait_until(0, 0, "test", || "flag".into(), || false));
-            while ctl.parked_waiters() == 0 {
-                std::thread::yield_now();
-            }
+            let parked = parked_count(&ctl);
             ctl.poison(1, 4, PoisonCause::Panic);
-            h.join().unwrap()
+            (parked, h.join().unwrap())
         });
+        assert_eq!(parked, 1, "waiter never parked");
         assert_eq!(
             res.unwrap_err(),
             SyncFault::Poisoned {

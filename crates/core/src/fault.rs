@@ -185,10 +185,20 @@ impl From<FaultPlan> for Fault {
 /// per run via [`SyncPolicy::straggler_backstop`].
 const STRAGGLER_BACKSTOP: Duration = Duration::from_secs(30);
 
-/// The straggler backstop `policy` implies: its explicit override, or the
-/// historical 30 s default.
-pub(crate) fn effective_backstop(policy: &SyncPolicy) -> Duration {
-    policy.straggler_backstop.unwrap_or(STRAGGLER_BACKSTOP)
+/// Hold an injected cooperative straggler ([`FaultKind::Straggler`]) until
+/// `released()` — the launch aborted or its barrier was poisoned — polling
+/// every 200 µs. Returns `false` if `policy`'s straggler backstop (its
+/// explicit override, or 30 s) expired first.
+pub(crate) fn hold_straggler(policy: &SyncPolicy, released: impl Fn() -> bool) -> bool {
+    let backstop = policy.straggler_backstop.unwrap_or(STRAGGLER_BACKSTOP);
+    let start = Instant::now();
+    while !released() {
+        if start.elapsed() >= backstop {
+            return false;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    true
 }
 
 /// A stall duration guaranteed to outlive the pooled runtime's
@@ -495,15 +505,10 @@ impl<K: RoundKernel> RoundKernel for FaultInjector<K> {
                         .expect("abort slot poisoned")
                         .clone()
                         .expect("executor must call on_launch before rounds");
-                    let backstop = effective_backstop(&self.policy);
-                    let start = Instant::now();
-                    while !abort.is_aborted() {
-                        assert!(
-                            start.elapsed() < backstop,
-                            "straggler never aborted — policy timeout missing?"
-                        );
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
+                    assert!(
+                        hold_straggler(&self.policy, || abort.is_aborted()),
+                        "straggler never aborted — policy timeout missing?"
+                    );
                     // The run is failing; skip the real work.
                     return;
                 }
@@ -592,16 +597,10 @@ impl WaitFaultHook for WaitFaultInjector {
             FaultKind::Straggler => {
                 // Cooperative: hold the arrival back until a peer's
                 // timeout poisons the barrier or the launch aborts.
-                let backstop = effective_backstop(&self.policy);
-                let start = Instant::now();
-                while !self.abort.is_aborted() && !self.poisoned() {
-                    if start.elapsed() >= backstop {
-                        // Cannot assert here (no catch_unwind above us):
-                        // poison instead, so the run still fails bounded.
-                        self.poison(block, round as usize, PoisonCause::Timeout);
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
+                if !hold_straggler(&self.policy, || self.abort.is_aborted() || self.poisoned()) {
+                    // Cannot assert here (no catch_unwind above us):
+                    // poison instead, so the run still fails bounded.
+                    self.poison(block, round as usize, PoisonCause::Timeout);
                 }
             }
         }

@@ -22,9 +22,9 @@
 //!
 //! | strategy | serves | shape |
 //! |---|---|---|
-//! | [`run_scoped`] | GPU methods, `CpuImplicit`, `NoSync` (scoped) | spawn per launch, [`drive_block`] per block |
-//! | pooled workers (`core::runtime`) | same methods, `RuntimeKind::Pooled` | pinned workers, [`drive_block`] per block |
-//! | [`run_relaunch`] | `CpuExplicit` | spawn + watchdog-join per round |
+//! | [`run_scoped`] | GPU methods, `CpuImplicit`, `NoSync` (scoped) | spawn per launch, `LaunchGate`, [`drive_block`] per block |
+//! | pooled workers (`core::runtime`) | same methods, `RuntimeKind::Pooled` | pinned workers, `LaunchGate`, [`drive_block`] per block |
+//! | [`run_relaunch`] | `CpuExplicit` | spawn + join per round (owned: watchdog-join; borrowed: `thread::scope`) |
 //! | `Auto` (`GridExecutor::run_auto`) | resolves, then one of the above | plan compiled for the resolved method |
 //!
 //! `CpuImplicit` needs no strategy of its own anymore: its driver
@@ -33,13 +33,13 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::barrier::{BarrierShared, PoisonCause, SyncFault, SyncPolicy};
+use crate::barrier::{BarrierControl, BarrierShared, PoisonCause, SyncFault, SyncPolicy};
 use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{AbortSignal, BlockCtx, GridConfig, RoundKernel};
 use crate::fault::{FaultSchedule, WaitFaultInjector};
@@ -132,45 +132,81 @@ pub(crate) fn fault_to_error(fault: SyncFault, barrier: &dyn BarrierShared) -> E
     }
 }
 
-/// One-shot launch gate for persistent strategies: every block thread
-/// checks in and waits until all peers exist. This pins down the "kernel
-/// launch" boundary — time before the gate opens is thread-spawn overhead
-/// (`t_O`), time after is round time — so round-0 sync no longer absorbs
-/// the stagger of late-spawned threads. One `fetch_add` per thread per
-/// *launch*, well off the barrier hot path.
+/// The launch gate every persistent strategy assembles at: each block
+/// thread checks in and waits until all peers have. This pins down the
+/// "kernel launch" boundary — time before the gate opens is spawn or
+/// dispatch overhead (`t_O`), time after is round time — so round-0 sync
+/// does not absorb the stagger of late threads.
 ///
-/// The wait is spin-budgeted, not unbounded: on an oversubscribed host
-/// (more blocks than cores) the last peers cannot even be scheduled until
-/// earlier arrivals stop burning their timeslices, so after a yield burst
-/// the wait backs off to short sleeps — the same discipline as the
-/// assembly gate in `runtime.rs` and `SpinStrategy::Park`.
-pub(crate) struct StartGate {
-    arrived: AtomicUsize,
+/// The wait is [`BarrierControl::wait_until`]'s discipline on the gate's
+/// own control under [`crate::SpinStrategy::Park`]: check-in is
+/// `record_arrival(block, 0)`, so the control's arrival table is the
+/// assembly-phase progress table and every check-in wakes parked peers. On
+/// an oversubscribed host (more blocks than cores) the last peers cannot
+/// even be scheduled until earlier arrivals stop burning their timeslices,
+/// which parking gives them.
+pub(crate) struct LaunchGate {
     n: usize,
+    /// Pooled workers that picked the launch up (see [`LaunchGate::enter`]).
+    entered: AtomicUsize,
+    checked_in: AtomicUsize,
+    control: BarrierControl,
+    /// Bound on the check-in stage of [`LaunchGate::wait`].
+    timeout: Option<Duration>,
 }
 
-impl StartGate {
-    /// Yield-only polls before backing off to sleeps.
-    const SPIN_BUDGET: u32 = 4096;
-
-    pub(crate) fn new(n: usize) -> Self {
-        StartGate {
-            arrived: AtomicUsize::new(0),
+impl LaunchGate {
+    pub(crate) fn new(n: usize, timeout: Option<Duration>) -> Self {
+        LaunchGate {
             n,
+            entered: AtomicUsize::new(0),
+            checked_in: AtomicUsize::new(0),
+            control: BarrierControl::new(n, SyncPolicy::default().with_park()),
+            timeout,
         }
     }
 
-    pub(crate) fn wait(&self) {
-        self.arrived.fetch_add(1, Ordering::AcqRel);
-        let mut polls = 0u32;
-        while self.arrived.load(Ordering::Acquire) < self.n {
-            polls = polls.saturating_add(1);
-            if polls < Self::SPIN_BUDGET {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
+    /// Note that a pooled worker has picked the launch up off the log; the
+    /// check-in deadline only runs once every worker has.
+    pub(crate) fn enter(&self) {
+        if self.entered.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+            self.control.wake_parked();
         }
+    }
+
+    pub(crate) fn check_in(&self, block: usize) {
+        self.checked_in.fetch_add(1, Ordering::AcqRel);
+        self.control.record_arrival(block, 0);
+    }
+
+    /// Wait until every block has checked in or `abort` is raised.
+    ///
+    /// Two stages. Until every worker has [`entered`](LaunchGate::enter),
+    /// the wait has no deadline: a worker still busy on an earlier
+    /// pipelined launch is late, not stuck, and abandoning *that* launch
+    /// is what frees it. Then check-in is bounded by the gate's timeout.
+    /// Returns the first block that never checked in if that bound
+    /// expired, `None` once the gate is open (or released by abort, or by
+    /// a peer's timeout).
+    pub(crate) fn wait(&self, block: usize, abort: &AbortSignal) -> Option<usize> {
+        let open = || self.checked_in.load(Ordering::Acquire) >= self.n || abort.is_aborted();
+        let flag = || "launch gate".to_string();
+        let all_entered = || open() || self.entered.load(Ordering::Acquire) >= self.n;
+        self.control
+            .wait_within(None, block, 0, "launch-gate", flag, all_entered)
+            .ok()?;
+        match self
+            .control
+            .wait_within(self.timeout, block, 0, "launch-gate", flag, open)
+        {
+            Err(SyncFault::TimedOut { .. }) => self.arrivals().iter().position(|&a| a == 0),
+            _ => None,
+        }
+    }
+
+    /// Check-in table: 1 for blocks that checked in, 0 for the rest.
+    pub(crate) fn arrivals(&self) -> Vec<u64> {
+        self.control.progress().0
     }
 }
 
@@ -191,33 +227,6 @@ impl KernelArg<'_> {
             KernelArg::Borrowed(k) => *k,
             KernelArg::Owned(k) => &***k,
         }
-    }
-}
-
-/// Lifetime-erased borrowed kernel, so the borrowed relaunch path can
-/// reuse the owned-kernel strategy. Sound only because that path never
-/// detaches a worker thread (`detach_stragglers = false`): every spawned
-/// thread is joined before the borrowing call returns, so no dereference
-/// outlives the borrow.
-struct ErasedKernel(*const (dyn RoundKernel + 'static));
-
-// SAFETY: see `ErasedKernel` — the referent outlives every thread that can
-// touch the pointer, and `RoundKernel: Sync` covers the shared access.
-unsafe impl Send for ErasedKernel {}
-unsafe impl Sync for ErasedKernel {}
-
-impl RoundKernel for ErasedKernel {
-    fn rounds(&self) -> usize {
-        unsafe { (*self.0).rounds() }
-    }
-    fn round(&self, ctx: &BlockCtx, round: usize) {
-        unsafe { (*self.0).round(ctx, round) }
-    }
-    fn on_launch(&self, abort: &AbortSignal) {
-        unsafe { (*self.0).on_launch(abort) }
-    }
-    fn fault_schedule(&self) -> Option<FaultSchedule> {
-        unsafe { (*self.0).fault_schedule() }
     }
 }
 
@@ -350,22 +359,7 @@ impl LaunchPlan {
         k.on_launch(&setup.abort);
         let start = Instant::now();
         let per_block = match self.method {
-            SyncMethod::CpuExplicit => match &kernel {
-                KernelArg::Owned(owned) => run_relaunch(&setup, Arc::clone(owned), true),
-                KernelArg::Borrowed(k) => {
-                    // SAFETY: `detach_stragglers = false` means every
-                    // thread holding this pointer is joined before
-                    // `run_relaunch` returns (see `ErasedKernel`).
-                    let erased: Arc<dyn RoundKernel + Send + Sync> =
-                        Arc::new(ErasedKernel(unsafe {
-                            std::mem::transmute::<
-                                *const dyn RoundKernel,
-                                *const (dyn RoundKernel + 'static),
-                            >(*k as *const dyn RoundKernel)
-                        }));
-                    run_relaunch(&setup, erased, false)
-                }
-            },
+            SyncMethod::CpuExplicit => run_relaunch(&setup, &kernel),
             _ => run_scoped(&setup, k, start),
         };
         let result = per_block.map(|pb| setup.stats(pb, start.elapsed(), None));
@@ -502,7 +496,7 @@ pub(crate) fn drive_block(
 }
 
 /// Scoped persistent strategy: spawn one thread per block for the whole
-/// launch, assemble at a [`StartGate`] (pinning `t_O`), then
+/// launch, assemble at a [`LaunchGate`] (pinning `t_O`), then
 /// [`drive_block`]. Serves every barrier method — GPU-side, `CpuImplicit`
 /// (whose barrier is the driver rendezvous), and `NoSync` (no barrier).
 pub(crate) fn run_scoped(
@@ -510,7 +504,9 @@ pub(crate) fn run_scoped(
     kernel: &dyn RoundKernel,
     run_start: Instant,
 ) -> Result<Vec<BlockTimes>, ExecError> {
-    let gate = StartGate::new(setup.n);
+    // Every thread exists by construction, so check-in cannot get stuck:
+    // the gate needs no deadline.
+    let gate = LaunchGate::new(setup.n, None);
     let results: Vec<Result<BlockTimes, ExecError>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..setup.n)
             .map(|b| {
@@ -520,7 +516,8 @@ pub(crate) fn run_scoped(
                     // The launch gate: no block starts round 0 until every
                     // thread exists, so the time to here is the launch's
                     // spawn overhead (t_O), not round-0 sync skew.
-                    gate.wait();
+                    gate.check_in(b);
+                    gate.wait(b, &setup.abort);
                     t.launch = run_start.elapsed();
                     drive_block(setup, kernel, b, &mut t)?;
                     Ok(t)
@@ -535,6 +532,111 @@ pub(crate) fn run_scoped(
     collect_block_results(results)
 }
 
+/// One block's successful relaunch round: spawn delay, kernel time, and
+/// the instant it finished (arrived at the host-side join "barrier").
+struct RoundDone {
+    spawn_delay: Duration,
+    compute: Duration,
+    arrived: Instant,
+}
+
+/// The state one relaunch round's block threads share with the host.
+struct RelaunchRound {
+    start: Instant,
+    /// Blocks finished this round.
+    finished: Mutex<usize>,
+    cv: Condvar,
+    /// Per-block outcome slots, filled as each block finishes; a detached
+    /// straggler's slot stays `None` (only the slot's own thread ever
+    /// writes it).
+    slots: Vec<Mutex<Option<Result<RoundDone, ExecError>>>>,
+}
+
+impl RelaunchRound {
+    fn new(n: usize) -> Self {
+        RelaunchRound {
+            start: Instant::now(),
+            finished: Mutex::new(0),
+            cv: Condvar::new(),
+            slots: (0..n).map(|_| Mutex::new(None)).collect(),
+        }
+    }
+
+    /// Block `ctx.block_id`'s thread for round `r`: run the kernel body
+    /// under `catch_unwind` and report to the host. Round r's thread is
+    /// the block's ring writer this round; the host's join and the next
+    /// spawn give the handoff edges.
+    fn run_block(
+        &self,
+        kernel: &dyn RoundKernel,
+        ctx: BlockCtx,
+        r: usize,
+        recorder: Option<&EventRecorder>,
+    ) {
+        let b = ctx.block_id;
+        let t0 = Instant::now();
+        if let Some(rec) = recorder {
+            rec.record(b, r, TraceEventKind::RoundStart);
+        }
+        let result = match catch_unwind(AssertUnwindSafe(|| kernel.round(&ctx, r))) {
+            Ok(()) => {
+                let arrived = Instant::now();
+                if let Some(rec) = recorder {
+                    rec.record(b, r, TraceEventKind::RoundEnd);
+                    rec.record(b, r, TraceEventKind::BarrierArrive);
+                }
+                Ok(RoundDone {
+                    spawn_delay: t0 - self.start,
+                    compute: arrived - t0,
+                    arrived,
+                })
+            }
+            Err(payload) => {
+                if let Some(rec) = recorder {
+                    rec.record(b, r, TraceEventKind::Abort);
+                }
+                Err(ExecError::BlockPanicked {
+                    block: b,
+                    round: r,
+                    message: payload_message(&*payload),
+                })
+            }
+        };
+        *self.slots[b].lock() = Some(result);
+        *self.finished.lock() += 1;
+        self.cv.notify_all();
+    }
+
+    /// Wait until every block finished or `deadline` passed; returns
+    /// whether every block finished.
+    fn wait_all(&self, deadline: Instant) -> bool {
+        let n = self.slots.len();
+        let mut g = self.finished.lock();
+        while *g < n {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            let _ = self.cv.wait_for(&mut g, left);
+        }
+        true
+    }
+
+    /// The host-side "cudaThreadSynchronize", bounded by the policy
+    /// timeout: on expiry, raise the abort signal so cooperative
+    /// stragglers bail out, and return the completion states at the
+    /// deadline (a straggler may still finish between deadline and join).
+    fn await_deadline(&self, setup: &LaunchSetup) -> Option<Vec<bool>> {
+        let timeout = setup.policy.timeout?;
+        if self.wait_all(Instant::now() + timeout) {
+            return None;
+        }
+        let snapshot = self.slots.iter().map(|s| s.lock().is_some()).collect();
+        setup.abort.abort();
+        Some(snapshot)
+    }
+}
+
 /// Relaunch strategy (CPU explicit synchronization): spawn + join every
 /// round. The "barrier" is the host's join, so the policy timeout bounds
 /// the host's wait for all blocks to finish each round.
@@ -546,158 +648,70 @@ pub(crate) fn run_scoped(
 /// thread-startup overhead on short runs.
 ///
 /// When the policy deadline expires, the host raises the abort signal and
-/// then *watchdog-joins*: it grants cooperative stragglers a short grace
-/// period to observe the signal and exit, and — with `detach_stragglers`
-/// (owned kernels only) — detaches any thread still stuck in
-/// non-cooperative kernel code instead of joining it, so the run returns
-/// [`ExecError::BarrierTimeout`] within the bound rather than hanging.
-/// Detached threads co-own (via `Arc`) everything they can still touch.
-/// Without `detach_stragglers` (the borrowed path, where the kernel must
-/// outlive every thread), the join after the grace period is
-/// unconditional, restoring the old behaviour for non-cooperative
-/// kernels.
+/// then joins. An owned kernel's round threads are detached
+/// `thread::spawn`s: the host *watchdog-joins* them, granting cooperative
+/// stragglers a short grace period to observe the signal and exit, then
+/// detaching any thread still stuck in non-cooperative kernel code, so
+/// the run returns [`ExecError::BarrierTimeout`] within the bound rather
+/// than hanging. Detached threads co-own (via `Arc`) everything they can
+/// still touch. A borrowed kernel's round threads are scoped
+/// (`thread::scope`), so they are always joined before the borrow ends.
 pub(crate) fn run_relaunch(
     setup: &LaunchSetup,
-    kernel: Arc<dyn RoundKernel + Send + Sync>,
-    detach_stragglers: bool,
+    kernel: &KernelArg<'_>,
 ) -> Result<Vec<BlockTimes>, ExecError> {
-    struct RoundTracker {
-        state: Mutex<usize>, // blocks finished this round
-        cv: Condvar,
-    }
-    /// One block's successful round: spawn delay, kernel time, and the
-    /// instant it finished (arrived at the host-side join "barrier").
-    struct RoundDone {
-        spawn_delay: Duration,
-        compute: Duration,
-        arrived: Instant,
-    }
-
     let n = setup.n;
-    let recorder = setup.recorder.as_ref();
+    let recorder = setup.recorder.as_deref();
     let mut times = vec![BlockTimes::default(); n];
     for r in 0..setup.rounds {
-        let round_start = Instant::now();
-        let tracker = Arc::new(RoundTracker {
-            state: Mutex::new(0),
-            cv: Condvar::new(),
-        });
-        let done: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
-        // Per-block outcome slots; a detached straggler's slot stays
-        // `None` (only the slot's own thread ever writes it).
-        type Slot = Mutex<Option<Result<RoundDone, ExecError>>>;
-        let slots: Arc<Vec<Slot>> = Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        // Completion states captured at the moment the deadline expired
-        // (the straggler may still finish between deadline and join).
-        let mut deadline_snapshot: Option<Vec<bool>> = None;
-        let handles: Vec<std::thread::JoinHandle<()>> = (0..n)
-            .map(|b| {
-                let ctx = setup.ctx(b);
-                let kernel = Arc::clone(&kernel);
-                let tracker = Arc::clone(&tracker);
-                let done = Arc::clone(&done);
-                let slots = Arc::clone(&slots);
-                let recorder = recorder.cloned();
-                std::thread::spawn(move || {
-                    let t0 = Instant::now();
-                    // Round r's thread for block b is the ring's writer
-                    // this round; the host's join below and the next
-                    // spawn give the handoff edges.
-                    if let Some(rec) = recorder.as_deref() {
-                        rec.record(b, r, TraceEventKind::RoundStart);
+        let round = Arc::new(RelaunchRound::new(n));
+        let deadline_snapshot = match kernel {
+            KernelArg::Owned(k) => {
+                let handles: Vec<std::thread::JoinHandle<()>> = (0..n)
+                    .map(|b| {
+                        let (k, round, ctx) = (Arc::clone(k), Arc::clone(&round), setup.ctx(b));
+                        let recorder = setup.recorder.clone();
+                        std::thread::spawn(move || {
+                            round.run_block(&*k, ctx, r, recorder.as_deref())
+                        })
+                    })
+                    .collect();
+                let snapshot = round.await_deadline(setup);
+                if snapshot.is_some() {
+                    // Watchdog join: a grace period for cooperative
+                    // stragglers to observe the abort, then detach
+                    // whoever is still stuck in kernel code.
+                    let grace = setup
+                        .policy
+                        .timeout
+                        .unwrap_or_default()
+                        .clamp(Duration::from_millis(10), Duration::from_secs(1));
+                    round.wait_all(Instant::now() + grace);
+                }
+                for h in handles {
+                    // An unfinished thread after the watchdog is detached:
+                    // it co-owns (Arc) the kernel, round state and
+                    // recorder, and the deadline snapshot reports it.
+                    if snapshot.is_none() || h.is_finished() {
+                        h.join().expect("engine block thread must not panic");
                     }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| kernel.round(&ctx, r)));
-                    let result = match outcome {
-                        Ok(()) => {
-                            let arrived = Instant::now();
-                            if let Some(rec) = recorder.as_deref() {
-                                rec.record(b, r, TraceEventKind::RoundEnd);
-                                rec.record(b, r, TraceEventKind::BarrierArrive);
-                            }
-                            Ok(RoundDone {
-                                spawn_delay: t0 - round_start,
-                                compute: arrived - t0,
-                                arrived,
-                            })
-                        }
-                        Err(payload) => {
-                            if let Some(rec) = recorder.as_deref() {
-                                rec.record(b, r, TraceEventKind::Abort);
-                            }
-                            Err(ExecError::BlockPanicked {
-                                block: b,
-                                round: r,
-                                message: payload_message(&*payload),
-                            })
-                        }
-                    };
-                    *slots[b].lock() = Some(result);
-                    done[b].store(true, Ordering::Release);
-                    let mut g = tracker.state.lock();
-                    *g += 1;
-                    tracker.cv.notify_all();
-                })
-            })
-            .collect();
-
-        // The host-side "cudaThreadSynchronize": wait for all blocks,
-        // bounded by the policy timeout.
-        if let Some(timeout) = setup.policy.timeout {
-            let deadline = Instant::now() + timeout;
-            let mut g = tracker.state.lock();
-            while *g < n {
-                let now = Instant::now();
-                if now >= deadline {
-                    deadline_snapshot =
-                        Some(done.iter().map(|d| d.load(Ordering::Acquire)).collect());
-                    // Ask cooperative stragglers to bail out so the join
-                    // below can complete.
-                    setup.abort.abort();
-                    break;
                 }
-                let _ = tracker.cv.wait_for(&mut g, deadline - now);
+                snapshot
             }
-            drop(g);
-        }
-        if deadline_snapshot.is_some() && detach_stragglers {
-            // Watchdog join: a grace period for cooperative stragglers to
-            // observe the abort, then detach whoever is still stuck in
-            // kernel code — the bounded-return half of the
-            // fault-tolerance contract for owned kernels.
-            let grace = setup
-                .policy
-                .timeout
-                .unwrap_or_default()
-                .clamp(Duration::from_millis(10), Duration::from_secs(1));
-            let watchdog_deadline = Instant::now() + grace;
-            let mut g = tracker.state.lock();
-            while *g < n {
-                let now = Instant::now();
-                if now >= watchdog_deadline {
-                    break;
+            KernelArg::Borrowed(k) => std::thread::scope(|s| {
+                for b in 0..n {
+                    let (round, ctx) = (&round, setup.ctx(b));
+                    s.spawn(move || round.run_block(*k, ctx, r, recorder));
                 }
-                let _ = tracker.cv.wait_for(&mut g, watchdog_deadline - now);
-            }
-            drop(g);
-            for h in handles {
-                if h.is_finished() {
-                    h.join().expect("engine block thread must not panic");
-                }
-                // else: detached. The thread co-owns (Arc) the kernel,
-                // tracker, slots, and recorder, so leaking it is sound;
-                // the deadline snapshot below reports it as stuck.
-            }
-        } else {
-            for h in handles {
-                h.join().expect("engine block thread must not panic");
-            }
-        }
+                round.await_deadline(setup)
+            }),
+        };
 
         // Every block is released the moment the last join completed.
         let release = Instant::now();
         let mut origin: Option<ExecError> = None;
         let mut released: Vec<(usize, Instant)> = Vec::new();
-        for (b, slot) in slots.iter().enumerate() {
+        for (b, slot) in round.slots.iter().enumerate() {
             match slot.lock().take() {
                 Some(Ok(d)) => {
                     times[b].launch += d.spawn_delay;
@@ -836,6 +850,88 @@ mod tests {
             let stats = plan.run(&k).unwrap();
             assert_eq!(stats.method, method.to_string());
             assert!(k.slots.to_vec().iter().all(|&v| v == 7), "{method}");
+        }
+    }
+
+    #[test]
+    fn parked_gate_waiter_is_released_by_the_late_check_in() {
+        // Under Park, a block whose peer checks in 20 ms late spends its
+        // spin budget and parks; the late check-in's record_arrival wakes
+        // it and opens the gate.
+        let gate = LaunchGate::new(2, Some(Duration::from_secs(5)));
+        let abort = AbortSignal::new();
+        let (parked, checked_in, stuck, released) = std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                gate.check_in(0);
+                (gate.wait(0, &abort), Instant::now())
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            let parked = crate::barrier::harness::parked_count(&gate.control);
+            let checked_in = Instant::now();
+            gate.check_in(1);
+            let (stuck, released) = waiter.join().unwrap();
+            (parked, checked_in, stuck, released)
+        });
+        assert_eq!(parked, 1, "the early block never parked");
+        assert_eq!(stuck, None, "a complete gate reports no stuck block");
+        assert!(
+            released >= checked_in,
+            "the gate opened before the late peer"
+        );
+        assert!(released - checked_in < Duration::from_secs(2));
+        assert_eq!(gate.arrivals(), vec![1, 1]);
+    }
+
+    #[test]
+    fn gate_timeout_names_the_first_block_that_never_checked_in() {
+        // Every worker entered (so the deadline runs); only block 1
+        // checked in.
+        let gate = LaunchGate::new(3, Some(Duration::from_millis(20)));
+        (0..3).for_each(|_| gate.enter());
+        gate.check_in(1);
+        assert_eq!(gate.wait(1, &AbortSignal::new()), Some(0));
+        assert_eq!(gate.arrivals(), vec![0, 1, 0]);
+    }
+
+    #[test]
+    fn launch_time_comes_from_the_gate_scoped_and_pooled() {
+        use crate::fault::{Fault, FaultInjector, FaultKind, FaultSchedule};
+        use crate::runtime::GridRuntime;
+
+        let count = || Count {
+            slots: GlobalBuffer::new(3),
+            rounds: 5,
+        };
+        let check = |stats: &KernelStats| {
+            assert!(stats.per_block.iter().all(|b| b.launch > Duration::ZERO));
+            let slowest = stats.per_block.iter().map(|b| b.launch).max().unwrap();
+            assert_eq!(stats.launch, slowest);
+            assert!(stats.launch <= stats.wall);
+        };
+        let cfg = GridConfig::new(3, 8);
+        check(
+            &LaunchPlan::compile(cfg.clone(), SyncMethod::GpuSimple)
+                .unwrap()
+                .run(&count())
+                .unwrap(),
+        );
+        // A pooled block that checks in 20 ms late holds every peer at the
+        // gate, so every block's launch share absorbs the delay.
+        let rt = GridRuntime::new(cfg, SyncMethod::GpuSimple).unwrap();
+        let late = FaultSchedule::new(vec![Fault::in_assembly(
+            1,
+            FaultKind::Delay(Duration::from_millis(20)),
+        )]);
+        let stats = rt
+            .run(&FaultInjector::with_schedule(count(), late))
+            .unwrap();
+        check(&stats);
+        for (b, t) in stats.per_block.iter().enumerate() {
+            assert!(
+                t.launch >= Duration::from_millis(20),
+                "block {b} left the gate before the late peer: {:?}",
+                t.launch
+            );
         }
     }
 

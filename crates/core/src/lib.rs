@@ -62,7 +62,18 @@
 //! assert_eq!(stats.rounds, 100);
 //! assert!(kernel.slots.to_vec().iter().all(|&v| v == 100));
 //! ```
+//!
+//! ## `unsafe_code`
+//!
+//! The crate denies `unsafe_code` rather than forbidding it, because one
+//! item still needs it: the runtime's `KernelRef`, which erases the
+//! lifetime of the `&K` that [`GridRuntime::run`] hands to resident pool
+//! workers (sound because `run` blocks until every worker is done with
+//! it). `forbid` would make that one `#[allow]` impossible. Moving every
+//! borrowed pooled launch to [`GridRuntime::submit`]'s owned kernels
+//! would let the crate forbid it outright.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod autotune;

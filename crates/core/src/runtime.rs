@@ -49,7 +49,6 @@
 //! the scoped executor's contract.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -58,8 +57,8 @@ use parking_lot::{Condvar, Mutex};
 use crate::barrier::PoisonCause;
 use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{GridConfig, RoundKernel};
-use crate::fault::{effective_backstop, FaultKind, FaultPhase};
-use crate::launch::{collect_block_results, drive_block, LaunchPlan, LaunchSetup};
+use crate::fault::{hold_straggler, FaultKind, FaultPhase};
+use crate::launch::{collect_block_results, drive_block, LaunchGate, LaunchPlan, LaunchSetup};
 use crate::method::SyncMethod;
 use crate::obs::{LaunchRecord, Observer};
 use crate::stats::{BlockTimes, KernelStats};
@@ -147,32 +146,54 @@ impl PoolLaunchStats {
     }
 }
 
-/// Erased kernel reference carried by a launch.
-enum KernelRef {
-    /// `submit()`: the pool co-owns the kernel, so a stuck worker can be
-    /// abandoned safely (it keeps its own `Arc` alive).
-    Owned(Arc<dyn RoundKernel + Send + Sync>),
-    /// `run()`: a borrowed kernel. Soundness contract: the submitting call
-    /// does not return until every block recorded its result, so the
-    /// referent outlives every dereference.
-    Borrowed(*const (dyn RoundKernel + 'static)),
-}
+use kernel_ref::KernelRef;
 
-// SAFETY: the Borrowed pointer is only dereferenced by pool workers while
-// the borrowing `GridRuntime::run` call is still blocked waiting for all
-// of them (see `KernelRef::Borrowed`); `RoundKernel: Sync` makes the
-// shared access itself sound.
-unsafe impl Send for KernelRef {}
-unsafe impl Sync for KernelRef {}
+/// The crate's one lifetime erasure, kept because the borrowed
+/// [`GridRuntime::run`] hands a `&K` to resident workers (see the
+/// `unsafe_code` note in the crate docs).
+#[allow(unsafe_code)]
+mod kernel_ref {
+    use std::sync::Arc;
 
-impl KernelRef {
-    /// # Safety
-    /// For `Borrowed`, the caller must guarantee the referent is still
-    /// alive (the `run()` completion protocol above).
-    unsafe fn get(&self) -> &dyn RoundKernel {
-        match self {
-            KernelRef::Owned(k) => &**k,
-            KernelRef::Borrowed(p) => &**p,
+    use crate::executor::RoundKernel;
+
+    /// Erased kernel reference carried by a launch.
+    pub(super) enum KernelRef {
+        /// `submit()`: the pool co-owns the kernel, so a stuck worker can
+        /// be abandoned safely (it keeps its own `Arc` alive).
+        Owned(Arc<dyn RoundKernel + Send + Sync>),
+        /// `run()`: a borrowed kernel. Soundness contract: the submitting
+        /// call does not return until every block recorded its result, so
+        /// the referent outlives every dereference.
+        Borrowed(*const (dyn RoundKernel + 'static)),
+    }
+
+    // SAFETY: the Borrowed pointer is only dereferenced by pool workers
+    // while the borrowing `GridRuntime::run` call is still blocked waiting
+    // for all of them (see `KernelRef::Borrowed`); `RoundKernel: Sync`
+    // makes the shared access itself sound.
+    unsafe impl Send for KernelRef {}
+    unsafe impl Sync for KernelRef {}
+
+    impl KernelRef {
+        /// # Safety
+        /// `kernel` must outlive every [`KernelRef::get`] on the result
+        /// (the `run()` completion protocol above).
+        pub(super) unsafe fn borrowed(kernel: &dyn RoundKernel) -> Self {
+            KernelRef::Borrowed(std::mem::transmute::<
+                *const dyn RoundKernel,
+                *const (dyn RoundKernel + 'static),
+            >(kernel))
+        }
+
+        /// # Safety
+        /// For `Borrowed`, the caller must guarantee the referent is still
+        /// alive (the `run()` completion protocol above).
+        pub(super) unsafe fn get(&self) -> &dyn RoundKernel {
+            match self {
+                KernelRef::Owned(k) => &**k,
+                KernelRef::Borrowed(p) => &**p,
+            }
         }
     }
 }
@@ -200,23 +221,12 @@ struct Launch {
     submitted: Instant,
     /// When the first worker picked this launch up (end of queueing).
     activated: Mutex<Option<Instant>>,
-    /// Assembly gate: workers check in and spin until all peers of *this
-    /// launch* exist, pinning the warm-launch boundary exactly like the
-    /// scoped engine's start gate — with an abort escape, since a pinned
-    /// peer may never arrive once the launch has failed, and (with a
-    /// policy timeout) a deadline of its own, so a worker stuck *before*
-    /// the gate surfaces as an assembly-phase failure instead of hanging
-    /// its peers (see [`StuckPhase::Assembly`]).
-    gate: AtomicUsize,
-    /// How many workers have *entered* this launch's assembly phase
-    /// (picked it up off the log). The gate deadline only runs once this
-    /// reaches `n`: a worker still busy on an earlier pipelined launch is
-    /// late, not stuck, and abandoning *that* launch is what unblocks it.
-    entered: AtomicUsize,
-    /// Which blocks have checked in at the gate — the assembly-phase
-    /// progress table, feeding assembly diagnostics the way the barrier's
-    /// arrival counts feed round diagnostics.
-    checked_in: Vec<AtomicBool>,
+    /// Assembly gate pinning the warm-launch boundary. Abort releases it,
+    /// since a pinned peer may never arrive once the launch has failed;
+    /// its policy deadline turns a worker stuck *before* the gate into a
+    /// [`StuckPhase::Assembly`] failure, with its check-in table as the
+    /// diagnostic's progress table.
+    gate: LaunchGate,
     done: Mutex<LaunchDone>,
     done_cv: Condvar,
 }
@@ -226,21 +236,11 @@ impl Launch {
         self.done.lock().abandoned
     }
 
-    /// Assembly-phase progress snapshot: 1 for blocks that checked in at
-    /// the gate, 0 for those that never assembled — the round-0 analogue
-    /// of the barrier's arrival table.
-    fn assembly_arrivals(&self) -> Vec<u64> {
-        self.checked_in
-            .iter()
-            .map(|c| u64::from(c.load(Ordering::Acquire)))
-            .collect()
-    }
-
     /// Diagnostic for a block stuck waiting at (or never reaching) the
     /// assembly gate, reported in [`StuckPhase::Assembly`] so it cannot
     /// masquerade as a round-0 body fault.
     fn assembly_diagnostic(&self, waiting_block: usize, timeout: Duration) -> Box<StuckDiagnostic> {
-        let arrivals = self.assembly_arrivals();
+        let arrivals = self.gate.arrivals();
         Box::new(StuckDiagnostic {
             barrier: self
                 .setup
@@ -360,16 +360,14 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
     // SAFETY: Owned refs are kept alive by the Arc in the launch log;
     // Borrowed refs are alive per the `GridRuntime::run` completion
     // protocol (see `KernelRef`).
+    #[allow(unsafe_code)]
     let kernel = unsafe { launch.kernel.get() };
-    {
-        let mut a = launch.activated.lock();
-        a.get_or_insert_with(Instant::now);
-    }
-    launch.entered.fetch_add(1, Ordering::AcqRel);
+    launch.activated.lock().get_or_insert_with(Instant::now);
+    launch.gate.enter();
+    let setup = &launch.setup;
     // Scheduled assembly-phase fault: misbehave *before* checking in at
     // the gate, so peers observe this block as never-assembled.
-    if let Some(f) = launch
-        .setup
+    if let Some(f) = setup
         .faults
         .as_deref()
         .and_then(|s| s.fault_at(block, 0, FaultPhase::Assembly))
@@ -379,10 +377,10 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
                 // A worker thread must not unwind, so an assembly "panic"
                 // is reported directly: poison + abort so peers drain,
                 // and the origin error names the assembly site.
-                if let Some(sh) = launch.setup.barrier.as_deref() {
+                if let Some(sh) = setup.barrier.as_deref() {
                     sh.poison(block, 0, PoisonCause::Panic);
                 }
-                launch.setup.abort.abort();
+                setup.abort.abort();
                 launch.record_result(
                     block,
                     Err(ExecError::BlockPanicked {
@@ -399,26 +397,20 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
                 // deadline fails the launch (or the backstop trips), then
                 // report this block's own Assembly-phase origin error —
                 // never checking in, so peers see it as never-assembled.
-                let backstop = effective_backstop(&launch.setup.policy);
-                let start = Instant::now();
-                let poisoned = || {
-                    launch
-                        .setup
-                        .barrier
-                        .as_deref()
-                        .is_some_and(|sh| sh.control().poisoned().is_some())
+                let released = || {
+                    setup.abort.is_aborted()
+                        || setup
+                            .barrier
+                            .as_deref()
+                            .is_some_and(|sh| sh.control().poisoned().is_some())
                 };
-                while !launch.setup.abort.is_aborted() && !poisoned() {
-                    if start.elapsed() >= backstop {
-                        if let Some(sh) = launch.setup.barrier.as_deref() {
-                            sh.poison(block, 0, PoisonCause::Timeout);
-                        }
-                        launch.setup.abort.abort();
-                        break;
+                if !hold_straggler(&setup.policy, released) {
+                    if let Some(sh) = setup.barrier.as_deref() {
+                        sh.poison(block, 0, PoisonCause::Timeout);
                     }
-                    std::thread::sleep(Duration::from_micros(200));
+                    setup.abort.abort();
                 }
-                let timeout = launch.setup.policy.timeout.unwrap_or_default();
+                let timeout = setup.policy.timeout.unwrap_or_default();
                 launch.record_result(
                     block,
                     Err(ExecError::BarrierTimeout {
@@ -429,70 +421,18 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
             }
         }
     }
-    // Assembly gate with an abort escape so peers of an already-failed
-    // launch don't spin forever waiting for a worker that will never
-    // come, and — with a policy timeout — a deadline that converts a
-    // peer stuck *before* the gate into an assembly-phase failure.
-    launch.checked_in[block].store(true, Ordering::Release);
-    launch.gate.fetch_add(1, Ordering::AcqRel);
-    let n = launch.setup.n;
-    let mut stuck_since: Option<Instant> = None;
-    let mut polls = 0u32;
-    while launch.gate.load(Ordering::Acquire) < n {
-        if launch.setup.abort.is_aborted() {
-            break;
+    launch.gate.check_in(block);
+    if let Some(stuck) = launch.gate.wait(block, &setup.abort) {
+        // Poison + abort only: this observer (and every peer) falls
+        // through to drive_block and fails fast with a derived error,
+        // setting `first_failure`; the stuck block's slot stays empty so
+        // the handle's abandonment synthesizes the Assembly-phase origin
+        // error and replaces its worker — one self-heal path for stuck
+        // assembly and stuck rounds alike.
+        if let Some(sh) = setup.barrier.as_deref() {
+            sh.poison(stuck, 0, PoisonCause::Timeout);
         }
-        polls += 1;
-        match launch.setup.policy.timeout {
-            // The deadline only runs while every worker has entered this
-            // launch's assembly phase: a peer still draining an earlier
-            // pipelined launch is late, not stuck, and replacing *that*
-            // launch's straggler (via its handle's abandonment) is what
-            // frees it — failing this launch would be a false positive.
-            Some(timeout) if launch.entered.load(Ordering::Acquire) >= n => {
-                let since = *stuck_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= timeout {
-                    let stuck = (0..n).find(|&b| !launch.checked_in[b].load(Ordering::Acquire));
-                    let Some(stuck) = stuck else {
-                        continue; // everyone checked in; the gate is about to open
-                    };
-                    // Poison + abort only: this observer (and every peer)
-                    // falls through to drive_block and fails fast with a
-                    // derived error, setting `first_failure`; the stuck
-                    // block's slot stays empty so the handle's abandonment
-                    // synthesizes the Assembly-phase origin error and
-                    // replaces its worker — one self-heal path for stuck
-                    // assembly and stuck rounds alike.
-                    if let Some(sh) = launch.setup.barrier.as_deref() {
-                        sh.poison(stuck, 0, PoisonCause::Timeout);
-                    }
-                    launch.setup.abort.abort();
-                    break;
-                }
-                // Same spin budget as the no-timeout arm: bare yields are
-                // bounded, then back off to sleeps — a timeout may be
-                // seconds long, and burning a core for its whole span is
-                // exactly the busy-wait the parking discipline forbids.
-                if polls < 4096 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
-            _ => {
-                stuck_since = None;
-                // Yield while assembly is fresh (the clean-launch fast
-                // path: peers arrive within microseconds, and sleeping
-                // here would inflate the warm t_O); after a long burst,
-                // back off to sleeps rather than burn a core while an
-                // earlier pipelined launch settles.
-                if polls < 4096 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
-        }
+        setup.abort.abort();
     }
     let base = (*launch.activated.lock()).expect("activation is stamped before the gate");
     let mut t = BlockTimes {
@@ -500,10 +440,10 @@ fn run_launch(launch: &Arc<Launch>, block: usize) {
         launch: Instant::now().saturating_duration_since(base),
         ..BlockTimes::default()
     };
-    if let Some(rec) = launch.setup.recorder.as_deref() {
+    if let Some(rec) = setup.recorder.as_deref() {
         rec.record(block, 0, TraceEventKind::Launch);
     }
-    let res = drive_block(&launch.setup, kernel, block, &mut t).map(|()| t);
+    let res = drive_block(setup, kernel, block, &mut t).map(|()| t);
     launch.record_result(block, res);
 }
 
@@ -555,26 +495,22 @@ fn wait_launch(
     let mut replaced: Vec<usize> = Vec::new();
     let results: Vec<Result<BlockTimes, ExecError>> = {
         let mut g = launch.done.lock();
+        let abandon_after = launch.setup.policy.timeout.filter(|_| allow_abandon);
         while g.finished < n {
-            match launch.setup.policy.timeout.filter(|_| allow_abandon) {
-                None => launch.done_cv.wait(&mut g),
-                Some(timeout) => {
-                    // Grace past the first observed failure before the
-                    // launch is abandoned; the policy can override the
-                    // default derivation (see `SyncPolicy::abandon_grace`).
-                    let grace = launch.setup.policy.effective_abandon_grace();
-                    let tick = grace.min(Duration::from_millis(20));
-                    let _ = launch.done_cv.wait_for(&mut g, tick);
-                    if g.finished >= n {
+            match (abandon_after, g.first_failure) {
+                // Grace past the first observed failure before the launch
+                // is abandoned; the policy can override the default
+                // derivation (see `SyncPolicy::abandon_grace`).
+                (Some(timeout), Some(first)) => {
+                    let deadline = first + launch.setup.policy.effective_abandon_grace();
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        abandon(launch, &mut g, timeout, &mut replaced);
                         break;
                     }
-                    if let Some(first) = g.first_failure {
-                        if first.elapsed() > grace {
-                            abandon(launch, &mut g, timeout, &mut replaced);
-                            break;
-                        }
-                    }
+                    let _ = launch.done_cv.wait_for(&mut g, left);
                 }
+                _ => launch.done_cv.wait(&mut g),
             }
         }
         std::mem::take(&mut g.results)
@@ -660,7 +596,7 @@ fn abandon(launch: &Launch, g: &mut LaunchDone, timeout: Duration, replaced: &mu
         Some(sh) => sh.control().progress(),
         None => (vec![0; launch.setup.n], vec![0; launch.setup.n]),
     };
-    for b in 0..launch.setup.n {
+    for (b, checked_in) in launch.gate.arrivals().into_iter().enumerate() {
         if g.results[b].is_some() {
             continue;
         }
@@ -672,8 +608,7 @@ fn abandon(launch: &Launch, g: &mut LaunchDone, timeout: Duration, replaced: &mu
         // stuck *before* round 0 — report the assembly phase (with the
         // gate's check-in bits as its progress table) so the diagnostic
         // does not masquerade as a round-0 body fault.
-        let assembled = launch.checked_in[b].load(Ordering::Acquire);
-        let diagnostic = if assembled {
+        let diagnostic = if checked_in != 0 {
             Box::new(StuckDiagnostic {
                 barrier: launch
                     .setup
@@ -878,8 +813,8 @@ impl GridRuntime {
         &self,
         kernel: Arc<dyn RoundKernel + Send + Sync>,
     ) -> Result<LaunchHandle, ExecError> {
-        let launch = self.enqueue(KernelRef::Owned(Arc::clone(&kernel)), kernel.rounds())?;
-        kernel.on_launch(&launch.setup.abort);
+        let setup = self.prepare(&*kernel)?;
+        let launch = self.enqueue(KernelRef::Owned(kernel), setup);
         Ok(LaunchHandle {
             shared: Arc::clone(&self.shared),
             launch,
@@ -899,23 +834,27 @@ impl GridRuntime {
     /// # Errors
     /// Same contract as [`crate::GridExecutor::run`].
     pub fn run<K: RoundKernel>(&self, kernel: &K) -> Result<KernelStats, ExecError> {
-        let dyn_ref: &dyn RoundKernel = kernel;
+        let setup = self.prepare(kernel)?;
         // SAFETY (lifetime erasure): `wait_launch(.., allow_abandon =
         // false)` below does not return until every worker recorded its
         // result for this launch, after which no worker dereferences the
         // pointer again — so the borrow outlives all uses.
-        let ptr: *const (dyn RoundKernel + 'static) =
-            unsafe { std::mem::transmute(dyn_ref as *const dyn RoundKernel) };
-        let launch = self.enqueue(KernelRef::Borrowed(ptr), kernel.rounds())?;
-        kernel.on_launch(&launch.setup.abort);
+        #[allow(unsafe_code)]
+        let kernel = unsafe { KernelRef::borrowed(kernel) };
+        let launch = self.enqueue(kernel, setup);
         wait_launch(&self.shared, &launch, false)
     }
 
-    fn enqueue(&self, kernel: KernelRef, rounds: usize) -> Result<Arc<Launch>, ExecError> {
-        let mut setup = self.plan.setup(rounds)?;
-        // SAFETY: the kernel is alive at enqueue time for both variants
-        // (Owned by definition; Borrowed per the `run()` protocol).
-        setup.arm_faults(unsafe { kernel.get() });
+    /// Stamp out a launch's setup, arm its faults and hand the kernel its
+    /// abort signal — all before any worker can see the launch.
+    fn prepare(&self, kernel: &dyn RoundKernel) -> Result<LaunchSetup, ExecError> {
+        let mut setup = self.plan.setup(kernel.rounds())?;
+        setup.arm_faults(kernel);
+        kernel.on_launch(&setup.abort);
+        Ok(setup)
+    }
+
+    fn enqueue(&self, kernel: KernelRef, setup: LaunchSetup) -> Arc<Launch> {
         let mut st = self.shared.state.lock();
         let min = st.cursors.iter().copied().min().unwrap_or(st.next_seq);
         let launch = Arc::new(Launch {
@@ -924,9 +863,7 @@ impl GridRuntime {
             queue_depth: (st.next_seq - min) as usize,
             submitted: Instant::now(),
             activated: Mutex::new(None),
-            gate: AtomicUsize::new(0),
-            entered: AtomicUsize::new(0),
-            checked_in: (0..setup.n).map(|_| AtomicBool::new(false)).collect(),
+            gate: LaunchGate::new(setup.n, setup.policy.timeout),
             done: Mutex::new(LaunchDone {
                 results: vec![None; setup.n],
                 finished: 0,
@@ -940,7 +877,7 @@ impl GridRuntime {
         st.next_seq += 1;
         drop(st);
         self.shared.cv.notify_all();
-        Ok(launch)
+        launch
     }
 }
 
@@ -962,7 +899,7 @@ mod tests {
     use crate::executor::BlockCtx;
     use crate::gmem::GlobalBuffer;
     use crate::trace::{EventRecorder, TraceConfig};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// Every block bumps its slot once per round; a correct barrier makes
     /// all slots equal the round count at the end.

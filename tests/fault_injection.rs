@@ -96,11 +96,7 @@ fn panic_in_round_zero_and_last_round_are_both_caught() {
 #[test]
 fn injected_straggler_times_out_under_every_method() {
     for method in ALL_SYNC_METHODS {
-        for spin in [
-            SpinStrategy::Spin,
-            SpinStrategy::Yield,
-            SpinStrategy::Backoff,
-        ] {
+        for spin in [SpinStrategy::Yield, SpinStrategy::Park] {
             let k = FaultInjector::new(Increment::new(3, 5), FaultPlan::straggler_at(1, 2));
             let timeout = Duration::from_millis(80);
             let cfg = GridConfig::new(3, 8)

@@ -79,7 +79,7 @@ fn minmix_reference(n: usize, logical: usize) -> Vec<u64> {
 fn park_policy() -> SyncPolicy {
     // A generous timeout keeps a genuine deadlock from hanging CI while
     // staying far above any legitimate parked wait.
-    SyncPolicy::with_timeout(Duration::from_secs(60)).with_spin(SpinStrategy::park())
+    SyncPolicy::with_timeout(Duration::from_secs(60)).with_spin(SpinStrategy::Park)
 }
 
 fn oversub_counts() -> Vec<usize> {
@@ -174,8 +174,7 @@ fn faults_at_oversubscription_still_produce_stuck_diagnostics() {
         .unwrap_or(4)
         .min(8);
     let n = 2 * cores;
-    let policy =
-        SyncPolicy::with_timeout(Duration::from_millis(200)).with_spin(SpinStrategy::park());
+    let policy = SyncPolicy::with_timeout(Duration::from_millis(200)).with_spin(SpinStrategy::Park);
     let shared = Arc::new(GpuLockFreeSync::with_policy(n, policy));
     // Every block but the last arrives; the wait must time out with a
     // diagnostic naming the straggler.
@@ -225,7 +224,7 @@ fn pooled_fault_matrix_at_four_x_oversubscription() {
         let cfg = GridConfig::new(n, 8)
             .with_spec(big_spec(n))
             .with_policy(
-                SyncPolicy::with_timeout(Duration::from_secs(20)).with_spin(SpinStrategy::park()),
+                SyncPolicy::with_timeout(Duration::from_secs(20)).with_spin(SpinStrategy::Park),
             )
             .with_runtime(RuntimeKind::Pooled);
         let exec = GridExecutor::new(cfg, method);

@@ -236,11 +236,7 @@ proptest! {
         method in exec_method_strategy(),
         n_blocks in 1usize..6,
         steps in 1usize..30,
-        spin in prop_oneof![
-            Just(SpinStrategy::Spin),
-            Just(SpinStrategy::Yield),
-            Just(SpinStrategy::Backoff),
-        ],
+        spin in prop_oneof![Just(SpinStrategy::Yield), Just(SpinStrategy::Park)],
     ) {
         let run = |policy: SyncPolicy| {
             let k = MixKernel::new(n_blocks, steps);
