@@ -487,9 +487,15 @@ impl<K: RoundKernel> RoundKernel for FaultInjector<K> {
             .fault_at(ctx.block_id, round, FaultPhase::RoundBody)
         {
             match f.kind {
-                FaultKind::Panic => {
-                    panic!("injected fault: block {} round {round}", f.block)
-                }
+                // `resume_unwind` skips the panic hook: no message is
+                // printed and no backtrace is symbolized before the engine's
+                // `catch_unwind`, so detection latency does not depend on
+                // `RUST_BACKTRACE`. The payload is the same `String` a
+                // `panic!` would carry.
+                FaultKind::Panic => std::panic::resume_unwind(Box::new(format!(
+                    "injected fault: block {} round {round}",
+                    f.block
+                ))),
                 FaultKind::Delay(by) => std::thread::sleep(by),
                 FaultKind::Stall(by) => {
                     // Non-cooperative: ignores the abort signal for the

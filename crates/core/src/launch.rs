@@ -23,7 +23,7 @@
 //! | strategy | serves | shape |
 //! |---|---|---|
 //! | [`run_scoped`] | GPU methods, `CpuImplicit`, `NoSync` (scoped) | spawn per launch, `LaunchGate`, [`drive_block`] per block |
-//! | pooled workers (`core::runtime`) | same methods, `RuntimeKind::Pooled` | pinned workers, `LaunchGate`, [`drive_block`] per block |
+//! | pooled workers (`core::runtime`) | same methods, on a [`crate::GridRuntime`] | pinned workers, `LaunchGate`, [`drive_block`] per block |
 //! | [`run_relaunch`] | `CpuExplicit` | spawn + join per round (owned: watchdog-join; borrowed: `thread::scope`) |
 //! | `Auto` (`GridExecutor::run_auto`) | resolves, then one of the above | plan compiled for the resolved method |
 //!
@@ -44,7 +44,6 @@ use crate::error::{ExecError, StuckDiagnostic, StuckPhase};
 use crate::executor::{AbortSignal, BlockCtx, GridConfig, RoundKernel};
 use crate::fault::{FaultSchedule, WaitFaultInjector};
 use crate::method::SyncMethod;
-use crate::obs::Observer;
 use crate::runtime::PoolLaunchStats;
 use crate::stats::{BlockTimes, KernelStats};
 use crate::trace::{EventRecorder, TraceEventKind};
@@ -242,10 +241,6 @@ impl KernelArg<'_> {
 pub struct LaunchPlan {
     cfg: GridConfig,
     method: SyncMethod,
-    /// Optional cross-launch observer fed once per [`LaunchPlan::execute`]
-    /// (success and failure alike). The pooled runtime and the executor
-    /// observe at their own layers instead, so they leave this unset.
-    observer: Option<Arc<Observer>>,
 }
 
 impl LaunchPlan {
@@ -263,22 +258,7 @@ impl LaunchPlan {
             });
         }
         cfg.validate(method)?;
-        Ok(LaunchPlan {
-            cfg,
-            method,
-            observer: None,
-        })
-    }
-
-    /// Attach a cross-launch [`Observer`]: every subsequent
-    /// [`LaunchPlan::run`] / [`LaunchPlan::run_owned`] folds its outcome
-    /// (stats or error) into the observer's registry and flight recorder.
-    /// For pooled execution use [`crate::GridRuntime::observer`] instead —
-    /// the pool observes at its own completion point.
-    #[must_use]
-    pub fn with_observer(mut self, obs: Arc<Observer>) -> Self {
-        self.observer = Some(obs);
-        self
+        Ok(LaunchPlan { cfg, method })
     }
 
     /// The grid configuration this plan was compiled for.
@@ -362,11 +342,7 @@ impl LaunchPlan {
             SyncMethod::CpuExplicit => run_relaunch(&setup, &kernel),
             _ => run_scoped(&setup, k, start),
         };
-        let result = per_block.map(|pb| setup.stats(pb, start.elapsed(), None));
-        if let Some(obs) = &self.observer {
-            obs.observe_outcome(&self.method.to_string(), &result, start.elapsed());
-        }
-        result
+        per_block.map(|pb| setup.stats(pb, start.elapsed(), None))
     }
 }
 

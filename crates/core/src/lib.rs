@@ -104,7 +104,7 @@ pub use barrier::{
     BarrierControl, BarrierShared, BarrierWaiter, PoisonCause, SpinStrategy, SyncFault, SyncPolicy,
     WaitFaultHook,
 };
-pub use chaos::{ChaosConfig, ChaosLaunch, ChaosReport, ServiceChaosConfig};
+pub use chaos::{ChaosConfig, ChaosLaunch, ChaosReport};
 pub use dissemination::DisseminationSync;
 pub use error::{ExecError, ServiceError, StuckDiagnostic, StuckPhase};
 pub use executor::{AbortSignal, BlockCtx, GridConfig, GridExecutor, RoundKernel};
@@ -122,7 +122,7 @@ pub use obs::{
     FaultLine, LaunchOutcome, LaunchRecord, MetricsSnapshot, Observer, DEFAULT_SHARD,
     FLIGHT_RECORDER_CAPACITY,
 };
-pub use runtime::{GridRuntime, LaunchHandle, PoolLaunchStats, RuntimeKind};
+pub use runtime::{GridRuntime, LaunchHandle, PoolLaunchStats};
 pub use scalar::DeviceScalar;
 pub use sense::SenseReversingSync;
 pub use service::{GridService, ServiceConfig, ServiceHandle, ShardKey};

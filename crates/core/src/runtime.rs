@@ -64,47 +64,10 @@ use crate::obs::{LaunchRecord, Observer};
 use crate::stats::{BlockTimes, KernelStats};
 use crate::trace::TraceEventKind;
 
-/// Which host runtime a [`crate::GridExecutor`] uses for persistent-mode
-/// methods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RuntimeKind {
-    /// Spawn fresh per-block threads every `run()` (cold `t_O`; the
-    /// default).
-    #[default]
-    Scoped,
-    /// Reuse a persistent [`GridRuntime`] worker pool across `run()` calls
-    /// (warm `t_O` after the first launch). Serves every method except
-    /// `CpuExplicit` (which relaunches from the host by definition) and
-    /// `Auto` (which resolves per launch); those fall back to scoped and
-    /// record the reason in [`KernelStats::pool`].
-    Pooled,
-}
-
-impl RuntimeKind {
-    /// Parse a CLI spelling (`"scoped"` / `"pooled"`).
-    pub fn parse(s: &str) -> Option<RuntimeKind> {
-        match s {
-            "scoped" => Some(RuntimeKind::Scoped),
-            "pooled" => Some(RuntimeKind::Pooled),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for RuntimeKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            RuntimeKind::Scoped => "scoped",
-            RuntimeKind::Pooled => "pooled",
-        })
-    }
-}
-
 /// Pool-side launch accounting attached to [`KernelStats::pool`] for runs
-/// executed by a [`GridRuntime`] — or for runs that *asked* for the pool
-/// and fell back to scoped execution (see [`PoolLaunchStats::fallback`]).
-/// The warm `t_O` itself is [`KernelStats::launch`] (dispatch → all
-/// workers assembled); this struct carries the queueing context around it.
+/// executed by a [`GridRuntime`]. The warm `t_O` itself is
+/// [`KernelStats::launch`] (dispatch → all workers assembled); this struct
+/// carries the queueing context around it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolLaunchStats {
     /// Zero-based sequence number of this launch on its pool. Sequence 0
@@ -118,32 +81,6 @@ pub struct PoolLaunchStats {
     pub queued: Duration,
     /// Whether this was the pool's cold (first) launch.
     pub cold: bool,
-    /// `None` when the launch really ran on a pool. `Some(reason)` when
-    /// [`RuntimeKind::Pooled`] was requested but the method cannot run
-    /// pooled and the scoped engine served the launch instead — the other
-    /// fields are then zero placeholders.
-    pub fallback: Option<String>,
-}
-
-impl PoolLaunchStats {
-    /// Marker attached by the executor when a pooled *request* was served
-    /// by the scoped engine, so the fallback is observable instead of
-    /// silent.
-    pub(crate) fn scoped_fallback(reason: String) -> Self {
-        PoolLaunchStats {
-            launch_seq: 0,
-            queue_depth: 0,
-            queued: Duration::ZERO,
-            cold: false,
-            fallback: Some(reason),
-        }
-    }
-
-    /// Whether the launch actually executed on a persistent pool (`false`
-    /// means a recorded scoped fallback).
-    pub fn ran_pooled(&self) -> bool {
-        self.fallback.is_none()
-    }
 }
 
 use kernel_ref::KernelRef;
@@ -524,49 +461,40 @@ fn wait_launch(
     let wall = launch.submitted.elapsed();
     let activated = (*launch.activated.lock()).unwrap_or(launch.submitted);
     let queued = activated.saturating_duration_since(launch.submitted);
-    match collect_block_results(results) {
-        Ok(per_block) => {
-            let stats = launch.setup.stats(
-                per_block,
-                wall,
-                Some(Box::new(PoolLaunchStats {
-                    launch_seq: launch.seq,
-                    queue_depth: launch.queue_depth,
-                    queued,
-                    cold: launch.seq == 0,
-                    fallback: None,
-                })),
-            );
-            if shared.obs.is_enabled() {
-                let mut rec = LaunchRecord::from_stats(&stats);
-                rec.replacements = replaced.len();
-                rec.shard = shared.shard_label.lock().clone();
-                if let Some(f) = launch.setup.faults.as_deref() {
-                    rec = rec.with_faults(f);
-                }
-                shared.obs.observe(rec);
-            }
-            Ok(stats)
-        }
-        Err(e) => {
-            if shared.obs.is_enabled() {
-                let mut rec = LaunchRecord::from_error(launch.setup.method.to_string(), &e, wall);
+    let result = collect_block_results(results).map(|per_block| {
+        launch.setup.stats(
+            per_block,
+            wall,
+            Some(Box::new(PoolLaunchStats {
+                launch_seq: launch.seq,
+                queue_depth: launch.queue_depth,
+                queued,
+                cold: launch.seq == 0,
+            })),
+        )
+    });
+    if shared.obs.is_enabled() {
+        let mut rec = match &result {
+            Ok(stats) => LaunchRecord::from_stats(stats),
+            Err(e) => {
+                let mut rec = LaunchRecord::from_error(launch.setup.method.to_string(), e, wall);
                 rec.seq = launch.seq;
                 rec.pooled = true;
                 rec.queue_depth = launch.queue_depth;
                 rec.queued = queued;
                 rec.cold = launch.seq == 0;
-                rec.replacements = replaced.len();
-                rec.shard = shared.shard_label.lock().clone();
                 rec.recent_events = recent_events(launch);
-                if let Some(f) = launch.setup.faults.as_deref() {
-                    rec = rec.with_faults(f);
-                }
-                shared.obs.observe(rec);
+                rec
             }
-            Err(e)
+        };
+        rec.replacements = replaced.len();
+        rec.shard = shared.shard_label.lock().clone();
+        if let Some(f) = launch.setup.faults.as_deref() {
+            rec = rec.with_faults(f);
         }
+        shared.obs.observe(rec);
     }
+    result
 }
 
 /// Per-block trailing trace events of a failed launch, for the flight
@@ -700,9 +628,9 @@ impl GridRuntime {
     }
 
     /// [`GridRuntime::new`] sharing an existing [`Observer`] — used by
-    /// [`crate::GridExecutor`] so pooled launches and scoped fallbacks
-    /// land in one registry, and by the `obs_overhead` bench to pass a
-    /// [`Observer::disabled`] control arm.
+    /// [`crate::GridService`] so every shard lands in one registry, and by
+    /// the `obs_overhead` bench to pass a [`Observer::disabled`] control
+    /// arm.
     ///
     /// # Errors
     /// See [`GridRuntime::new`].
@@ -822,8 +750,7 @@ impl GridRuntime {
     }
 
     /// Run a borrowed kernel on the warm pool and block until it
-    /// completes — the pooled fast path behind
-    /// [`crate::GridExecutor::run`].
+    /// completes — the pooled counterpart of [`crate::GridExecutor::run`].
     ///
     /// Because the kernel is only borrowed, this wait is *not* bounded for
     /// blocks stuck inside non-cooperative kernel code (the pool may not
@@ -974,7 +901,6 @@ mod tests {
             let stats = h.wait().unwrap();
             assert_eq!(stats.method, "cpu-implicit");
             let p = stats.pool.as_ref().unwrap();
-            assert!(p.ran_pooled());
             assert_eq!(p.launch_seq, i as u64);
             assert!(kernels[i].slots.to_vec().iter().all(|&v| v == 25));
         }
@@ -1002,7 +928,6 @@ mod tests {
             let p = stats.pool.as_ref().unwrap();
             assert_eq!(p.launch_seq, i as u64);
             assert_eq!(p.cold, i == 0);
-            assert!(p.ran_pooled());
             assert!(kernels[i].slots.to_vec().iter().all(|&v| v == 20));
         }
     }

@@ -1,13 +1,17 @@
-//! Cross-path parity: the scoped and pooled strategies are two front-ends
-//! to the same launch engine (`core::launch`), so for every method the
-//! pooled runtime supports, running one kernel scoped and one pooled must
-//! produce **bit-identical results** and **structurally equal stats** —
-//! same round count, same method string, same telemetry shape (event and
-//! sample counts). The only permitted difference is the pool bookkeeping
-//! itself ([`KernelStats::pool`]).
+//! Cross-path parity: the scoped executor and the pooled runtime are two
+//! front doors to the same launch engine (`core::launch`), so for every
+//! method the pooled runtime supports, running one kernel through
+//! [`GridExecutor::run`] (scoped), [`GridRuntime::run`] (pooled, borrowed)
+//! and [`GridRuntime::submit`] (pooled, owned) must produce
+//! **bit-identical results** and **structurally equal stats** — same round
+//! count, same method string, same telemetry shape (event and sample
+//! counts). The only permitted difference is the pool bookkeeping itself
+//! ([`KernelStats::pool`]).
+
+use std::sync::Arc;
 
 use blocksync::core::{
-    BlockCtx, GlobalBuffer, GridConfig, GridExecutor, KernelStats, RoundKernel, RuntimeKind,
+    BlockCtx, GlobalBuffer, GridConfig, GridExecutor, GridRuntime, KernelStats, RoundKernel,
     SyncMethod, TraceConfig, TraceEventKind, TreeLevels,
 };
 use proptest::prelude::*;
@@ -72,25 +76,45 @@ impl RoundKernel for RingStencil {
     }
 }
 
+/// The doors a kernel can take to the launch engine.
+#[derive(Debug, Clone, Copy)]
+enum Door {
+    /// `GridExecutor::run`: one scoped launch.
+    Scoped,
+    /// `GridRuntime::run`: a borrowed kernel on the warm pool.
+    PooledRun,
+    /// `GridRuntime::submit`: an owned kernel on the warm pool.
+    PooledSubmit,
+}
+
+const POOLED_DOORS: [Door; 2] = [Door::PooledRun, Door::PooledSubmit];
+
 fn run_one(
     method: SyncMethod,
-    runtime: RuntimeKind,
+    door: Door,
     blocks: usize,
     rounds: usize,
 ) -> (Vec<u64>, KernelStats) {
-    let cfg = GridConfig::new(blocks, 8)
-        .with_runtime(runtime)
-        .with_trace(TraceConfig::new());
-    let k = RingStencil::new(blocks, rounds);
-    let stats = GridExecutor::new(cfg, method).run(&k).unwrap();
+    let cfg = GridConfig::new(blocks, 8).with_trace(TraceConfig::new());
+    let k = Arc::new(RingStencil::new(blocks, rounds));
+    let stats = match door {
+        Door::Scoped => GridExecutor::new(cfg, method).run(&*k),
+        Door::PooledRun => GridRuntime::new(cfg, method).unwrap().run(&*k),
+        Door::PooledSubmit => GridRuntime::new(cfg, method)
+            .unwrap()
+            .submit(Arc::clone(&k))
+            .unwrap()
+            .wait(),
+    }
+    .unwrap();
     (k.output(), stats)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For every supported method and any small grid, scoped and pooled
-    /// runs agree bit-for-bit and stat-for-stat.
+    /// For every supported method and any small grid, the scoped run and
+    /// both pooled runs agree bit-for-bit and stat-for-stat.
     #[test]
     fn scoped_and_pooled_paths_agree(
         blocks in 2usize..=5,
@@ -98,27 +122,14 @@ proptest! {
         mi in 0usize..PARITY_METHODS.len(),
     ) {
         let method = PARITY_METHODS[mi];
-        let (scoped_out, scoped) = run_one(method, RuntimeKind::Scoped, blocks, rounds);
-        let (pooled_out, pooled) = run_one(method, RuntimeKind::Pooled, blocks, rounds);
-
-        // Bit-identical results.
-        prop_assert_eq!(&scoped_out, &pooled_out, "{method}: outputs diverge");
-
-        // Structurally equal stats: one engine, two strategies.
-        prop_assert_eq!(&scoped.method, &pooled.method);
+        let (scoped_out, scoped) = run_one(method, Door::Scoped, blocks, rounds);
         prop_assert_eq!(&scoped.method, &method.to_string());
         prop_assert_eq!(scoped.rounds, rounds);
-        prop_assert_eq!(pooled.rounds, rounds);
-        prop_assert_eq!(scoped.n_blocks, pooled.n_blocks);
-        prop_assert_eq!(scoped.per_block.len(), pooled.per_block.len());
-
-        // Telemetry shape parity: both paths run the same drive_block, so
-        // both record the same event and sample counts.
-        let (st, pt) = (
-            scoped.telemetry.as_ref().expect("scoped telemetry"),
-            pooled.telemetry.as_ref().expect("pooled telemetry"),
-        );
+        prop_assert!(scoped.pool.is_none());
+        let st = scoped.telemetry.as_ref().expect("scoped telemetry");
         let expected_sync = (blocks * rounds) as u64;
+        prop_assert_eq!(st.sync_ns.count(), expected_sync);
+        prop_assert_eq!(st.dropped, 0);
         // The pooled path adds exactly one `Launch` assembly event per
         // block; every round-loop event comes from the shared drive_block.
         let round_events = |t: &blocksync::core::Telemetry| {
@@ -127,36 +138,52 @@ proptest! {
                 .filter(|e| !matches!(e.kind, TraceEventKind::Launch))
                 .count()
         };
-        prop_assert_eq!(round_events(st), round_events(pt), "{method}: event counts");
-        let launches = pt
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, TraceEventKind::Launch))
-            .count();
-        prop_assert_eq!(launches, blocks, "{method}: one Launch event per block");
-        prop_assert_eq!(st.sync_ns.count(), expected_sync);
-        prop_assert_eq!(pt.sync_ns.count(), expected_sync);
-        prop_assert_eq!(st.rounds.len(), pt.rounds.len(), "{method}: sampled rounds");
-        prop_assert_eq!(st.dropped, 0);
-        prop_assert_eq!(pt.dropped, 0);
 
-        // The one permitted difference: pool bookkeeping.
-        prop_assert!(scoped.pool.is_none());
-        let pool = pooled.pool.as_deref().expect("pooled stats");
-        prop_assert!(pool.ran_pooled(), "{method}: fell back: {:?}", pool.fallback);
+        for door in POOLED_DOORS {
+            let (pooled_out, pooled) = run_one(method, door, blocks, rounds);
+
+            // Bit-identical results.
+            prop_assert_eq!(&scoped_out, &pooled_out, "{method} {door:?}: outputs diverge");
+
+            // Structurally equal stats: one engine, two strategies.
+            prop_assert_eq!(&scoped.method, &pooled.method);
+            prop_assert_eq!(pooled.rounds, rounds);
+            prop_assert_eq!(scoped.n_blocks, pooled.n_blocks);
+            prop_assert_eq!(scoped.per_block.len(), pooled.per_block.len());
+
+            // Telemetry shape parity: both paths run the same drive_block,
+            // so both record the same event and sample counts.
+            let pt = pooled.telemetry.as_ref().expect("pooled telemetry");
+            prop_assert_eq!(round_events(st), round_events(pt), "{method} {door:?}: event counts");
+            let launches = pt
+                .events
+                .iter()
+                .filter(|e| matches!(e.kind, TraceEventKind::Launch))
+                .count();
+            prop_assert_eq!(launches, blocks, "{method} {door:?}: one Launch event per block");
+            prop_assert_eq!(pt.sync_ns.count(), expected_sync);
+            prop_assert_eq!(st.rounds.len(), pt.rounds.len(), "{method} {door:?}: sampled rounds");
+            prop_assert_eq!(pt.dropped, 0);
+
+            // The one permitted difference: pool bookkeeping.
+            prop_assert!(pooled.pool.is_some(), "{method} {door:?}: no pool stats");
+        }
     }
 }
 
 /// Deterministic full sweep at a fixed shape, so every method is exercised
-/// on every test run regardless of proptest's case sampling.
+/// through every door on every test run regardless of proptest's case
+/// sampling.
 #[test]
 fn parity_sweep_all_methods() {
     for method in PARITY_METHODS {
-        let (s_out, s) = run_one(method, RuntimeKind::Scoped, 4, 5);
-        let (p_out, p) = run_one(method, RuntimeKind::Pooled, 4, 5);
-        assert_eq!(s_out, p_out, "{method}");
-        assert_eq!(s.method, p.method, "{method}");
-        assert_eq!(s.rounds, p.rounds, "{method}");
-        assert!(p.pool.as_deref().unwrap().ran_pooled(), "{method}");
+        let (s_out, s) = run_one(method, Door::Scoped, 4, 5);
+        for door in POOLED_DOORS {
+            let (p_out, p) = run_one(method, door, 4, 5);
+            assert_eq!(s_out, p_out, "{method} {door:?}");
+            assert_eq!(s.method, p.method, "{method} {door:?}");
+            assert_eq!(s.rounds, p.rounds, "{method} {door:?}");
+            assert!(p.pool.is_some(), "{method} {door:?}");
+        }
     }
 }

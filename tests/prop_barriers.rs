@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use blocksync::core::{
     stall_duration, BarrierShared, BlockCtx, ExecError, Fault, FaultInjector, FaultKind,
-    FaultPhase, FaultPlan, FaultSchedule, GlobalBuffer, GridConfig, GridExecutor, RoundKernel,
-    SpinStrategy, SyncMethod, SyncPolicy, TreeLevels,
+    FaultPhase, FaultPlan, FaultProfile, FaultSchedule, GlobalBuffer, GridConfig, GridExecutor,
+    RoundKernel, SpinStrategy, SyncMethod, SyncPolicy, TreeLevels,
 };
 use proptest::prelude::*;
 
@@ -314,6 +314,64 @@ proptest! {
             }
             (kind, other) => {
                 panic!("{method}/{kind:?}/{phase:?}: unexpected outcome {other:?}");
+            }
+        }
+    }
+}
+
+/// Every method with a poisonable barrier — the methods a chaos shard may
+/// run. `CpuExplicit` has no barrier object to poison and `NoSync` no
+/// barrier at all.
+const POISONABLE: [SyncMethod; 7] = [
+    SyncMethod::CpuImplicit,
+    SyncMethod::GpuSimple,
+    SyncMethod::GpuTree(TreeLevels::Two),
+    SyncMethod::GpuTree(TreeLevels::Three),
+    SyncMethod::GpuLockFree,
+    SyncMethod::SenseReversing,
+    SyncMethod::Dissemination,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The chaos soak's random draw — up to two concurrent faults of any
+    /// kind, minus the pool-only assembly phase — through the scoped
+    /// executor: a fatal schedule's error must name one of its scheduled
+    /// sites (whichever fault wins the race), and a benign, delay-only
+    /// schedule must leave the output bit-identical to a clean run.
+    #[test]
+    fn random_fault_schedules_are_attributed_under_every_poisonable_method(
+        seed in any::<u64>(),
+    ) {
+        let (n, steps) = (4, 3);
+        let timeout = Duration::from_millis(100);
+        let policy = SyncPolicy::with_timeout(timeout)
+            .with_straggler_backstop(timeout * 20 + Duration::from_secs(1));
+        let profile = FaultProfile {
+            allow_assembly: false,
+            ..FaultProfile::new(n, 2 * steps, timeout)
+        };
+        let schedule = FaultSchedule::random(seed, &profile);
+        let reference = MixKernel::new(n, steps);
+        GridExecutor::new(GridConfig::new(n, 8), SyncMethod::GpuSimple)
+            .run(&reference)
+            .expect("clean reference run");
+        for method in POISONABLE {
+            let k = FaultInjector::with_schedule(MixKernel::new(n, steps), schedule.clone())
+                .with_policy(policy);
+            let res = GridExecutor::new(GridConfig::new(n, 8).with_policy(policy), method).run(&k);
+            match res {
+                Err(e) if schedule.expects_failure() => prop_assert!(
+                    schedule.matches_error(&e),
+                    "{method}: `{e}` names no scheduled fault of {schedule:?}"
+                ),
+                Ok(_) if !schedule.expects_failure() => prop_assert_eq!(
+                    k.inner().slots.to_vec(),
+                    reference.slots.to_vec(),
+                    "{method}: benign schedule {schedule:?} changed the output"
+                ),
+                other => panic!("{method}: schedule {schedule:?} gave {other:?}"),
             }
         }
     }
