@@ -13,12 +13,20 @@
 //! 3. `host:launch/{cold,warm}` — wall-clock `t_O`: median launch time of
 //!    fresh scoped runs (cold) vs relaunches on an already-warm pool
 //!    (warm). Noisy; unguarded.
+//! 4. `host:launch/sporadic` — median per-launch barrier time (mean block
+//!    `sync`) of 20-round launches on a 2-block `gpu-lock-free` pool, each
+//!    after a 250 µs idle gap. Every launch finds the workers asleep, so
+//!    this row shows whether the pool's wake-up puts the blocks on
+//!    separate cores (a few µs) or on one, where every barrier round costs
+//!    a context switch (~100 µs). Noisy; unguarded.
 //!
 //! Flags: `--short` (fewer repetitions, for CI smoke), `--json FILE`
 //! (default `BENCH_launch.json`), `--baseline FILE` + `--max-regress-pct P`
 //! (fail nonzero on guarded regression).
 
 use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::Duration;
 
 use blocksync_bench::baseline::{self, BenchRecord};
 use blocksync_bench::harness::format_table;
@@ -113,10 +121,43 @@ fn main() -> ExitCode {
         }
     }
 
+    // -- Section 4: sporadic short launches onto a sleeping pool ----------
+    let (sporadic_blocks, sporadic_reps) = (2, if short { 200 } else { 1000 });
+    let rt = match GridRuntime::new(
+        GridConfig::new(sporadic_blocks, tpb),
+        SyncMethod::GpuLockFree,
+    ) {
+        Ok(rt) => rt,
+        Err(e) => {
+            eprintln!("error: cannot construct pooled runtime: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut sporadic_ns = Vec::new();
+    for i in 0..=sporadic_reps {
+        std::thread::sleep(Duration::from_micros(250));
+        let kernel = Arc::new(MeanKernel::for_grid(sporadic_blocks, tpb, 20));
+        match rt.submit(kernel).and_then(|h| h.wait()) {
+            // Launch 0 is the pool's cold start; discard it as above.
+            Ok(stats) if i > 0 => sporadic_ns.push(stats.avg_sync().as_secs_f64() * 1e9),
+            Ok(_) => {}
+            Err(e) => {
+                eprintln!("error: sporadic launch failed: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+
     let cold = median(&mut cold_ns);
     let warm = median(&mut warm_ns);
+    let sporadic = median(&mut sporadic_ns);
     records.push(BenchRecord::new("host:launch/cold", host_blocks, cold));
     records.push(BenchRecord::new("host:launch/warm", host_blocks, warm));
+    records.push(BenchRecord::new(
+        "host:launch/sporadic",
+        sporadic_blocks,
+        sporadic,
+    ));
 
     println!(
         "host runtime, {host_blocks} blocks ({} mode), median t_O:\n",
@@ -141,6 +182,11 @@ fn main() -> ExitCode {
     if warm > 0.0 {
         println!("cold / warm = {:.1}x", cold / warm);
     }
+    println!(
+        "sporadic 20-round launches, {sporadic_blocks} blocks gpu-lock-free, 250 us gaps: \
+         median sync {:.1} us per launch",
+        sporadic / 1e3
+    );
 
     if let Err(e) = std::fs::write(&json_path, baseline::to_json(&records)) {
         eprintln!("error: cannot write {json_path}: {e}");

@@ -15,7 +15,7 @@ use blocksync_device::DeviceError;
 ///
 /// Almost every timeout is a [`StuckPhase::Barrier`] wait; the pooled
 /// runtime adds an earlier failure window — [`StuckPhase::Assembly`], the
-/// start gate where pinned workers rendezvous before round 0. Reporting
+/// start gate where resident workers rendezvous before round 0. Reporting
 /// the phase keeps an assembly-stuck worker from masquerading as a
 /// round-0 body fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -23,7 +23,7 @@
 //! | strategy | serves | shape |
 //! |---|---|---|
 //! | [`run_scoped`] | GPU methods, `CpuImplicit`, `NoSync` (scoped) | spawn per launch, `LaunchGate`, [`drive_block`] per block |
-//! | pooled workers (`core::runtime`) | same methods, on a [`crate::GridRuntime`] | pinned workers, `LaunchGate`, [`drive_block`] per block |
+//! | pooled workers (`core::runtime`) | same methods, on a [`crate::GridRuntime`] | resident workers (woken one at a time), `LaunchGate`, [`drive_block`] per block |
 //! | [`run_relaunch`] | `CpuExplicit` | spawn + join per round (owned: watchdog-join; borrowed: `thread::scope`) |
 //! | `Auto` (`GridExecutor::run_auto`) | resolves, then one of the above | plan compiled for the resolved method |
 //!

@@ -6,16 +6,18 @@
 //! start gate, and are joined again at the end. That is the host analogue
 //! of a cold `cudaLaunch` — exactly the cost the paper's persistent-kernel
 //! design (Section 4.3) amortizes away. [`GridRuntime`] is the
-//! persistent-host counterpart: the per-block workers are pinned **once at
-//! construction** and every subsequent launch is a *warm* dispatch through
-//! a launch queue, the pipelined-relaunch shape of the paper's CPU
-//! implicit sync (Section 4.2) applied to whole kernels instead of rounds.
+//! persistent-host counterpart: the per-block workers are spawned **once at
+//! construction** and stay resident, and every subsequent launch is a
+//! *warm* dispatch through a launch queue, the pipelined-relaunch shape of
+//! the paper's CPU implicit sync (Section 4.2) applied to whole kernels
+//! instead of rounds. No CPU affinity is set: the OS scheduler places the
+//! resident workers, steered only by the wake discipline below.
 //!
 //! The pool is a *strategy* over the shared launch engine: it compiles one
 //! [`LaunchPlan`] at construction, stamps a fresh
-//! [`crate::launch::LaunchSetup`] per submission, and each pinned worker
+//! [`crate::launch::LaunchSetup`] per submission, and each resident worker
 //! runs the same [`drive_block`] round loop the scoped executor uses —
-//! only thread placement (pinned vs spawned) and the warm-launch
+//! only thread lifetime (resident vs spawned) and the warm-launch
 //! accounting differ.
 //!
 //! ## Launch log
@@ -29,6 +31,24 @@
 //! exactly the paper's implicit-sync launch queue, which is why
 //! `CpuImplicit` runs pooled natively: its driver rendezvous
 //! ([`crate::CpuImplicitSync`]) is just another barrier to the engine.
+//!
+//! ## Wake discipline
+//!
+//! The paper's barriers assume every block is resident on its own SM at
+//! once. Waking all sleeping workers from the submitting thread breaks
+//! that on a small host: the scheduler pulls every wakee onto the waker's
+//! CPU, and each barrier round of a short launch becomes a spin burst plus
+//! a context switch. So each worker sleeps on its **own** condvar and the
+//! pool wakes them as a chain: `enqueue` wakes worker 0 only, and each
+//! worker, once it has taken its launch off the log and released the pool
+//! lock, wakes its successor. Every wake thus comes from a different,
+//! already-running thread, and the scheduler spreads the wakees over idle
+//! CPUs. A worker still busy on an earlier launch passes the wake on when
+//! it takes the next one (it checks the log before it sleeps), which costs
+//! nothing: the launch cannot assemble without it anyway. Worker
+//! replacement and shutdown wake every worker. On the completion side, a
+//! block's report wakes the waiting host only when it is the last one or
+//! a failure (which starts the abandonment clock).
 //!
 //! ## Fault semantics
 //!
@@ -158,8 +178,8 @@ struct Launch {
     submitted: Instant,
     /// When the first worker picked this launch up (end of queueing).
     activated: Mutex<Option<Instant>>,
-    /// Assembly gate pinning the warm-launch boundary. Abort releases it,
-    /// since a pinned peer may never arrive once the launch has failed;
+    /// Assembly gate marking the warm-launch boundary. Abort releases it,
+    /// since a resident peer may never arrive once the launch has failed;
     /// its policy deadline turns a worker stuck *before* the gate into a
     /// [`StuckPhase::Assembly`] failure, with its check-in table as the
     /// diagnostic's progress table.
@@ -208,20 +228,27 @@ impl Launch {
             None | Some(Some(_)) => return,
             Some(None) => {}
         }
-        if res.is_err() {
+        let failed = res.is_err();
+        if failed {
             g.first_failure.get_or_insert_with(Instant::now);
             self.setup.abort.abort();
         }
         g.results[block] = Some(res);
         g.finished += 1;
-        self.done_cv.notify_all();
+        // The host only acts on completion or on a failure (which starts
+        // the abandonment grace clock), so intermediate reports stay quiet.
+        if failed || g.finished == self.setup.n {
+            self.done_cv.notify_all();
+        }
     }
 }
 
 /// Shared pool state.
 struct Shared {
     state: Mutex<PoolState>,
-    cv: Condvar,
+    /// One wake condvar per block worker, all paired with `state` (see
+    /// the module docs' wake discipline).
+    wake: Vec<Condvar>,
     /// Cross-launch observability plane, fed once per completed launch by
     /// the *host* thread resolving it (never by workers — spin loops stay
     /// free of registry traffic).
@@ -248,6 +275,17 @@ struct PoolState {
     shutdown: bool,
 }
 
+impl Shared {
+    /// Wake every worker (replacement and shutdown). `notify_all` per
+    /// condvar, so a retired worker still queued on its slot's condvar
+    /// cannot absorb the wake meant for its successor.
+    fn wake_all(&self) {
+        for cv in &self.wake {
+            cv.notify_all();
+        }
+    }
+}
+
 fn spawn_worker(shared: Arc<Shared>, block: usize, gen: u64, cursor: u64) {
     let builder = std::thread::Builder::new().name(format!("blocksync-pool-{block}"));
     builder
@@ -267,9 +305,13 @@ fn worker_loop(shared: &Arc<Shared>, block: usize, gen: u64, mut cursor: u64) {
                     let idx = (cursor - st.first_seq) as usize;
                     break Arc::clone(&st.queue[idx]);
                 }
-                shared.cv.wait(&mut st);
+                shared.wake[block].wait(&mut st);
             }
         };
+        // Pass the wake on from this (running) thread, outside the lock.
+        if let Some(next) = shared.wake.get(block + 1) {
+            next.notify_all();
+        }
         // A launch the host already gave up on: its results were
         // synthesized, so just step over it.
         if !launch.is_abandoned() {
@@ -586,7 +628,7 @@ fn replace_workers(shared: &Arc<Shared>, blocks: &[usize], after_seq: u64) {
         spawn_worker(Arc::clone(shared), b, st.gens[b], after_seq + 1);
     }
     drop(st);
-    shared.cv.notify_all();
+    shared.wake_all();
 }
 
 /// Persistent per-block worker pool with a pipelined launch queue — the
@@ -618,7 +660,7 @@ impl GridRuntime {
         !matches!(method, SyncMethod::CpuExplicit | SyncMethod::Auto)
     }
 
-    /// Build the pool and pin one worker per block.
+    /// Build the pool and spawn one resident worker per block.
     ///
     /// # Errors
     /// [`ExecError::Device`] for an invalid grid shape;
@@ -655,7 +697,7 @@ impl GridRuntime {
                 cursors: vec![0; n],
                 shutdown: false,
             }),
-            cv: Condvar::new(),
+            wake: (0..n).map(|_| Condvar::new()).collect(),
             obs,
             shard_label: Mutex::new(None),
         });
@@ -803,7 +845,9 @@ impl GridRuntime {
         st.queue.push_back(Arc::clone(&launch));
         st.next_seq += 1;
         drop(st);
-        self.shared.cv.notify_all();
+        // Start the wake chain at its head; the rest of the grid is woken
+        // worker by worker (see the module docs).
+        self.shared.wake[0].notify_all();
         launch
     }
 }
@@ -815,7 +859,7 @@ impl Drop for GridRuntime {
     /// abandon path makes.
     fn drop(&mut self) {
         self.shared.state.lock().shutdown = true;
-        self.shared.cv.notify_all();
+        self.shared.wake_all();
     }
 }
 
@@ -1017,26 +1061,28 @@ mod tests {
         }
     }
 
+    /// Bounded spin-then-sleep until `open` is set, like the runtime's own
+    /// waits: these gates are held across assertions, so a bare yield loop
+    /// would busy-burn a core.
+    fn hold_until(open: &AtomicBool) {
+        let mut polls = 0u32;
+        while !open.load(Ordering::Acquire) {
+            polls = polls.saturating_add(1);
+            if polls < 4096 {
+                std::thread::yield_now();
+            } else {
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        }
+    }
+
     #[test]
     fn queue_depth_reflects_pipelining() {
         let rt = pool(2, SyncMethod::NoSync);
         let gate = Arc::new(AtomicBool::new(false));
         let release = Arc::clone(&gate);
         let slow: Arc<dyn RoundKernel + Send + Sync> =
-            Arc::new((1usize, move |_: &BlockCtx, _: usize| {
-                let mut polls = 0u32;
-                while !release.load(Ordering::Acquire) {
-                    // Bounded spin-then-sleep, like the runtime's own
-                    // waits: this gate is held open across assertions, so
-                    // a bare yield loop would busy-burn a core.
-                    polls = polls.saturating_add(1);
-                    if polls < 4096 {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(Duration::from_micros(50));
-                    }
-                }
-            }));
+            Arc::new((1usize, move |_: &BlockCtx, _: usize| hold_until(&release)));
         let h1 = rt.submit_dyn(slow).unwrap();
         let h2 = rt
             .submit(Arc::new(CountKernel {
@@ -1050,5 +1096,59 @@ mod tests {
         let stats = h2.wait().unwrap();
         assert_eq!(stats.pool.as_ref().unwrap().queue_depth, 1);
         assert_eq!(rt.queue_depth(), 0);
+    }
+
+    #[test]
+    fn pipelined_submits_behind_a_busy_chain_head_complete_in_order() {
+        for method in [SyncMethod::NoSync, SyncMethod::GpuLockFree] {
+            let rt = pool(3, method);
+            let open = Arc::new(AtomicBool::new(false));
+            let gate = Arc::clone(&open);
+            // Block 0 (the chain head) is held in launch 0 while the rest
+            // of the log is submitted behind it.
+            let slow: Arc<dyn RoundKernel + Send + Sync> =
+                Arc::new((1usize, move |ctx: &BlockCtx, _: usize| {
+                    if ctx.block_id == 0 {
+                        hold_until(&gate);
+                    }
+                }));
+            let first = rt.submit_dyn(slow).unwrap();
+            if method == SyncMethod::NoSync {
+                // Its peers finish launch 0 and go back to the log (to
+                // sleep), so the next enqueue's wake finds the head busy.
+                let t0 = Instant::now();
+                while rt.shared.state.lock().cursors[1..] != [1, 1] {
+                    assert!(t0.elapsed() < Duration::from_secs(10), "peers stuck");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            let kernels: Vec<Arc<CountKernel>> = (0..4)
+                .map(|_| {
+                    Arc::new(CountKernel {
+                        slots: GlobalBuffer::new(3),
+                        rounds: 6,
+                    })
+                })
+                .collect();
+            let handles: Vec<LaunchHandle> = kernels
+                .iter()
+                .map(|k| rt.submit(Arc::clone(k)).unwrap())
+                .collect();
+            assert!(
+                handles.iter().all(|h| !h.is_done()),
+                "{method}: a launch completed without block 0"
+            );
+            open.store(true, Ordering::Release);
+            first.wait().unwrap();
+            for (i, h) in handles.into_iter().enumerate() {
+                let stats = h.wait().unwrap();
+                assert_eq!(stats.pool.as_ref().unwrap().launch_seq, i as u64 + 1);
+                assert!(
+                    kernels[i].slots.to_vec().iter().all(|&v| v == 6),
+                    "{method}"
+                );
+            }
+            assert_eq!(rt.queue_depth(), 0);
+        }
     }
 }

@@ -47,7 +47,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -64,7 +64,7 @@ use crate::stats::KernelStats;
 /// method serving it. Two submissions with equal keys share a warm pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardKey {
-    /// Thread blocks (= pinned pool workers) of the shard's grid.
+    /// Thread blocks (= resident pool workers) of the shard's grid.
     pub blocks: usize,
     /// Threads per block of the shard's grid.
     pub threads_per_block: usize,
@@ -198,6 +198,11 @@ struct ServiceShared {
     /// Signaled on every admission release so blocked `submit_within`
     /// callers re-check capacity.
     cv: Condvar,
+    /// Admission releases so far, bumped under `state` before `cv` is
+    /// signaled. A blocked submitter reads it before its refused attempt
+    /// and sleeps only if it is unchanged, so a release landing between
+    /// the refusal and the wait is not slept through.
+    releases: AtomicU64,
 }
 
 /// RAII admission slot: holds the tenant's and shard's in-flight counts
@@ -220,6 +225,10 @@ impl Drop for Ticket {
             }
         }
         *self.shard.last_used.lock() = Instant::now();
+        // Release pairs with the Acquire loads in `submit_within` and
+        // `wait_for_release`: a submitter that sees the new count also
+        // sees the freed slots.
+        self.svc.releases.fetch_add(1, Ordering::Release);
         drop(st);
         self.svc.cv.notify_all();
     }
@@ -306,6 +315,7 @@ impl GridService {
                     tenants: HashMap::new(),
                 }),
                 cv: Condvar::new(),
+                releases: AtomicU64::new(0),
             }),
         }
     }
@@ -360,12 +370,12 @@ impl GridService {
         let start = Instant::now();
         loop {
             self.reap_idle();
+            let epoch = self.inner.releases.load(Ordering::Acquire);
             match self.try_submit(tenant, key, &kernel) {
                 Err(e) if e.is_backpressure() => {
                     // Park until a release (or a slice of the remaining
                     // deadline) and retry; rejections never consume the
                     // kernel, so the same Arc is resubmitted.
-                    let mut st = self.inner.state.lock();
                     let remaining = deadline.saturating_sub(start.elapsed());
                     if remaining.is_zero() {
                         // Sampled once, at the moment of giving up: the
@@ -375,14 +385,26 @@ impl GridService {
                             waited: start.elapsed(),
                         });
                     }
-                    let _ = self
-                        .inner
-                        .cv
-                        .wait_for(&mut st, remaining.min(Duration::from_millis(5)));
+                    self.wait_for_release(epoch, remaining.min(Duration::from_millis(5)));
                 }
                 other => return other,
             }
         }
+    }
+
+    /// Sleep until an admission release newer than `epoch` (a
+    /// `releases` count read before the refused attempt), or for at most
+    /// `slice`. Returns at once, without sleeping, if such a release
+    /// already landed; the check and the wait share one hold of the
+    /// service lock, under which releases are counted. Returns whether it
+    /// slept.
+    fn wait_for_release(&self, epoch: u64, slice: Duration) -> bool {
+        let mut st = self.inner.state.lock();
+        if self.inner.releases.load(Ordering::Acquire) != epoch {
+            return false;
+        }
+        let _ = self.inner.cv.wait_for(&mut st, slice);
+        true
     }
 
     fn try_submit(
@@ -685,5 +707,24 @@ mod tests {
             }
             other => panic!("expected Deadline, got {other}"),
         }
+    }
+
+    #[test]
+    fn a_release_between_refusal_and_wait_is_not_slept_through() {
+        // The interleaving `submit_within` used to lose: the epoch is read,
+        // the attempt is refused, and a release lands before the wait.
+        let svc = GridService::new(ServiceConfig::default().with_tenant_quota(1));
+        let key = ShardKey::new(2, 8, SyncMethod::GpuLockFree);
+        let held = svc.submit("t", key, count(2, 3)).unwrap();
+        let epoch = svc.inner.releases.load(Ordering::Acquire);
+        let err = svc.submit("t", key, count(2, 3)).unwrap_err();
+        assert!(err.is_backpressure(), "{err}");
+        held.wait().unwrap();
+        // Had this slept, the test would hang for a minute.
+        assert!(!svc.wait_for_release(epoch, Duration::from_secs(60)));
+        // With no release since the read, the wait does sleep.
+        let epoch = svc.inner.releases.load(Ordering::Acquire);
+        assert!(svc.wait_for_release(epoch, Duration::from_millis(1)));
+        svc.submit("t", key, count(2, 3)).unwrap().wait().unwrap();
     }
 }

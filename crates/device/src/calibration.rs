@@ -74,7 +74,7 @@ pub struct CalibrationProfile {
     pub kernel_launch_ns: u64,
     /// Time to dispatch a kernel onto an *already-resident* worker set —
     /// the warm `t_O` of a pooled/persistent runtime, where the per-block
-    /// workers are pinned and a launch is a queue handoff rather than
+    /// workers stay resident and a launch is a queue handoff rather than
     /// thread (or driver context) creation. Pipelined back-to-back
     /// launches pay this instead of `kernel_launch_ns`.
     pub warm_launch_ns: u64,
@@ -536,30 +536,43 @@ fn park_wake_one_way_ns(rounds: u32) -> u64 {
 /// resident two-worker pool and wait until every worker has picked it up.
 /// Unlike `spawn_join_ns` (the cold launch probe) there is no thread
 /// creation or teardown on the critical path — only the queue handoff a
-/// persistent runtime pays per pipelined launch.
+/// persistent runtime pays per pipelined launch. The handoff is the one
+/// the core runtime performs: each worker sleeps on its own condvar, the
+/// host wakes worker 0 only, each worker wakes its successor once it has
+/// taken the launch and released the lock, and the host is woken once, by
+/// the last acknowledgement.
 fn pooled_relaunch_ns(launches: u32) -> u64 {
+    const WORKERS: usize = 2;
     struct Pool {
-        state: Mutex<(u64, u64)>, // (submitted launch seq, acks for that seq)
-        cv: Condvar,
+        state: Mutex<(u64, usize)>, // (submitted launch seq, acks for that seq)
+        wake: [Condvar; WORKERS],
+        done: Condvar,
     }
-    const WORKERS: u64 = 2;
     let shared = Arc::new(Pool {
         state: Mutex::new((0, 0)),
-        cv: Condvar::new(),
+        wake: std::array::from_fn(|_| Condvar::new()),
+        done: Condvar::new(),
     });
     let workers: Vec<_> = (0..WORKERS)
-        .map(|_| {
+        .map(|w| {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
                 let mut done = 0u64;
                 while done < launches as u64 {
                     let mut st = shared.state.lock().expect("probe lock");
                     while st.0 <= done {
-                        st = shared.cv.wait(st).expect("probe wait");
+                        st = shared.wake[w].wait(st).expect("probe wait");
                     }
                     done = st.0;
+                    drop(st);
+                    if let Some(next) = shared.wake.get(w + 1) {
+                        next.notify_one();
+                    }
+                    let mut st = shared.state.lock().expect("probe lock");
                     st.1 += 1;
-                    shared.cv.notify_all();
+                    if st.1 == WORKERS {
+                        shared.done.notify_one();
+                    }
                 }
             })
         })
@@ -569,9 +582,11 @@ fn pooled_relaunch_ns(launches: u32) -> u64 {
         let mut st = shared.state.lock().expect("probe lock");
         st.0 = seq;
         st.1 = 0;
-        shared.cv.notify_all();
+        drop(st);
+        shared.wake[0].notify_one();
+        let mut st = shared.state.lock().expect("probe lock");
         while st.1 < WORKERS {
-            st = shared.cv.wait(st).expect("probe wait");
+            st = shared.done.wait(st).expect("probe wait");
         }
     }
     let wall = start.elapsed();

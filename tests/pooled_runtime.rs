@@ -390,3 +390,112 @@ fn multi_fault_schedule_reports_the_earliest_then_lowest_origin() {
         "lowest block should win the tie: {err:?}"
     );
 }
+
+/// Abandon-and-replace at either end of the wake chain: block `stuck`
+/// stalls non-cooperatively in round 0, so its launch is abandoned, only
+/// its worker is replaced, and the very next launch completes within a
+/// bound. Block 0 is the chain head (`enqueue` wakes it first); the last
+/// block is woken last.
+fn stuck_chain_link_is_replaced_and_next_launch_completes(stuck: usize) {
+    const N: usize = 3;
+    let timeout = Duration::from_millis(60);
+    let cfg = GridConfig::new(N, 8).with_policy(SyncPolicy::with_timeout(timeout));
+    let rt = GridRuntime::new(cfg, SyncMethod::GpuLockFree).unwrap();
+    // Warm the pool so every worker is asleep on its own condvar.
+    rt.submit(Arc::new(Increment::new(N, 2)))
+        .unwrap()
+        .wait()
+        .unwrap();
+    let sick = Arc::new(FaultInjector::with_schedule(
+        Increment::new(N, 4),
+        FaultSchedule::new(vec![Fault::in_round(
+            stuck,
+            0,
+            FaultKind::Stall(stall_duration(timeout)),
+        )]),
+    ));
+    let err = rt.submit(sick).unwrap().wait().unwrap_err();
+    match &err {
+        ExecError::BarrierTimeout { diagnostic } => {
+            assert!(
+                diagnostic.stragglers().contains(&stuck),
+                "block {stuck}: {diagnostic}"
+            );
+        }
+        other => panic!("block {stuck}: expected BarrierTimeout, got {other:?}"),
+    }
+    let mut expected = vec![0; N];
+    expected[stuck] = 1;
+    assert_eq!(
+        rt.generations(),
+        expected,
+        "block {stuck}: wrong workers replaced"
+    );
+    let clean = Arc::new(Increment::new(N, 5));
+    let started = Instant::now();
+    let stats = rt.submit(Arc::clone(&clean)).unwrap().wait().unwrap();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "block {stuck}: next launch took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(stats.rounds, 5);
+    assert!(clean.slots.to_vec().iter().all(|&v| v == 5));
+}
+
+#[test]
+fn stuck_chain_head_is_replaced_and_next_launch_completes() {
+    stuck_chain_link_is_replaced_and_next_launch_completes(0);
+}
+
+#[test]
+fn stuck_last_block_is_replaced_and_next_launch_completes() {
+    stuck_chain_link_is_replaced_and_next_launch_completes(2);
+}
+
+/// A failing block must wake the waiting host, not only the last report:
+/// with block 0 panicking and block 2 stuck non-cooperatively far longer
+/// than the abandonment grace, the launch is still abandoned within
+/// `effective_abandon_grace` of the failure. A host woken only by the
+/// last block would sleep until the stall ends.
+#[test]
+fn failure_wakes_the_host_so_a_stuck_peer_is_abandoned_within_grace() {
+    let policy = SyncPolicy::with_timeout(Duration::from_millis(50));
+    let grace = policy.effective_abandon_grace();
+    let stall = Duration::from_secs(4);
+    let rt = GridRuntime::new(
+        GridConfig::new(3, 8).with_policy(policy),
+        SyncMethod::GpuSimple,
+    )
+    .unwrap();
+    let sick = Arc::new(FaultInjector::with_schedule(
+        Increment::new(3, 4),
+        FaultSchedule::new(vec![
+            Fault::in_round(0, 0, FaultKind::Panic),
+            Fault::in_round(2, 0, FaultKind::Stall(stall)),
+        ]),
+    ));
+    let started = Instant::now();
+    let err = rt.submit(sick).unwrap().wait().unwrap_err();
+    let took = started.elapsed();
+    assert!(
+        matches!(
+            err,
+            ExecError::BlockPanicked {
+                block: 0,
+                round: 0,
+                ..
+            }
+        ),
+        "got {err:?}"
+    );
+    assert!(
+        took < grace + Duration::from_secs(1),
+        "abandonment took {took:?} (grace {grace:?}, stall {stall:?})"
+    );
+    assert_eq!(
+        rt.generations(),
+        vec![0, 0, 1],
+        "the stuck worker is replaced"
+    );
+}
